@@ -7,11 +7,11 @@
 // the only bottleneck and the verification rate IS the guard's capacity.
 //
 // Sweeping num_shards over 1/2/4/8 measures how capacity scales as
-// per-source state partitions across independently-clocked shards fed by
-// SPSC rings. Acceptance: >= 4x the single-shard verification throughput
-// at 8 shards (hash imbalance across shards costs some of the ideal 8x),
-// and bit-identical counters when a shard count is re-run (virtual-time
-// determinism survives the ring/batch service path).
+// per-source state partitions across independently-clocked shards, each
+// fed by its own receive lane. Acceptance: >= 4x the single-shard
+// verification throughput at 8 shards (hash imbalance across shards costs
+// some of the ideal 8x), and bit-identical counters when a shard count is
+// re-run (virtual-time determinism survives burst lane service).
 #include <cstdio>
 #include <vector>
 
@@ -75,8 +75,8 @@ int main() {
   table.print_header();
 
   // Cost attribution at both ends of the sweep: the 1-shard profile is
-  // the classic sequential path, the 8-shard one exercises the batched
-  // pre-pass (decode + prefetch + bulk verify) across per-shard lanes.
+  // one lane served a packet at a time, the 8-shard one serves eight
+  // lanes in bursts; both run the same per-packet guard path.
   ProfileCollector prof;
   const std::vector<std::size_t> sweep{1, 2, 4, 8};
   std::vector<Point> points;
@@ -100,7 +100,7 @@ int main() {
   json.add("scaling_x8", scaling_x8);
 
   // Determinism: the 8-shard point re-run must reproduce its counters
-  // bit-for-bit (rings and batching preserve virtual-time determinism).
+  // bit-for-bit (burst lane service preserves virtual-time determinism).
   // The re-run is unprofiled — identical counters with the profiler off
   // double as evidence that probes never touch simulation state.
   obs::prof::profiler.disable();

@@ -114,9 +114,7 @@ void CookieEngine::verify_jobs(const VerifyJob* jobs,
                                net::Ipv4Address subnet_base,
                                std::uint32_t r_y) const {
   DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardVerifyJobs);
-  // One call verifies a whole shard batch. Grouping the checks keeps the
-  // pre-keyed MD5 midstates and the key schedule hot across items; each
-  // item still costs exactly the per-kind verification it would cost
+  // Each item costs exactly the per-kind verification it would cost
   // individually (the virtual-time cost model is charged by the caller).
   for (std::size_t i = 0; i < n; ++i) {
     const VerifyJob& j = jobs[i];

@@ -112,11 +112,13 @@ class CookieEngine {
       net::Ipv4Address requester, net::Ipv4Address dst,
       net::Ipv4Address subnet_base, std::uint32_t r_y) const;
 
-  // --- batched verification (shard hot path) -------------------------------
+  // --- batched verification -----------------------------------------------
 
-  /// One cookie check of any encoding, tagged by kind. The shard batch
-  /// pre-pass collects one job per cookie-bearing packet and verifies the
-  /// whole burst in a single verify_jobs() call.
+  /// One cookie check of any encoding, tagged by kind. The guard verifies
+  /// per packet and does not call verify_jobs(): a burst of jobs costs the
+  /// same verify_ex / verify_prefix32_ex / verify_cookie_address_ex calls
+  /// as the per-packet path. It stays as the host benchmark's
+  /// `cookie.verify_jobs` layer row, which times it directly.
   struct VerifyJob {
     enum class Kind : std::uint8_t { kFull, kPrefix, kAddress } kind =
         Kind::kFull;

@@ -27,12 +27,8 @@ const char* stage_name(Stage s) noexcept {
       return "guard.service";
     case Stage::kOutboxFlush:
       return "node.outbox_flush";
-    case Stage::kGuardBatchPrepass:
-      return "guard.batch_prepass";
     case Stage::kGuardDecode:
       return "guard.decode";
-    case Stage::kGuardPrefetch:
-      return "guard.limiter_prefetch";
     case Stage::kGuardVerifyJobs:
       return "guard.verify_jobs";
     case Stage::kGuardMint:

@@ -49,9 +49,7 @@ enum class Stage : std::uint8_t {
   kResolverService,   // recursive resolver
   kGuardService,      // guard process(): classify + per-scheme handling
   kOutboxFlush,       // Node::flush_outbox_at release event
-  kGuardBatchPrepass, // shard burst pre-pass (decode + jobs + bulk verify)
   kGuardDecode,       // dns::Message::decode of an incoming request
-  kGuardPrefetch,     // RL1/RL2 bucket prefetch in the batch pre-pass
   kGuardVerifyJobs,   // CookieEngine::verify_jobs bulk verification
   kGuardMint,         // cookie mint / cookie-label / cookie-address make
   kGuardVerify,       // per-packet cookie verification (any encoding)
@@ -65,8 +63,8 @@ enum class Stage : std::uint8_t {
 
 inline constexpr std::size_t kStageCount =
     static_cast<std::size_t>(Stage::kCount);
-/// Shard lanes tracked independently (merged at report time). Lane 0 is
-/// the classic sequential discipline; sharded nodes use their lane index.
+/// Shard lanes tracked independently (merged at report time). Single-lane
+/// nodes run on lane 0; sharded nodes use their lane index.
 inline constexpr std::size_t kMaxLanes = 17;
 /// Maximum span nesting per lane. Deeper spans are counted (overflow) and
 /// dropped rather than recorded with a wrong parent.

@@ -24,7 +24,6 @@ std::string_view trace_event_name(TraceEvent e) {
     case TraceEvent::kDrop: return "drop";
     case TraceEvent::kTx: return "tx";
     case TraceEvent::kQueueDrop: return "queue_drop";
-    case TraceEvent::kBatch: return "batch";
   }
   return "?";
 }

@@ -66,12 +66,6 @@ class CookieResponseLimiter {
   /// Should a cookie response toward `requester` be sent at `now`?
   bool allow(net::Ipv4Address requester, SimTime now);
 
-  /// Warms the per-address bucket line for `requester` (shard batch
-  /// pre-pass); no stats or LRU effect.
-  void prefetch(net::Ipv4Address requester) const {
-    buckets_.prefetch(requester);
-  }
-
   [[nodiscard]] const LimiterStats& stats() const { return stats_; }
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] std::size_t tracked_buckets() const {
@@ -121,9 +115,6 @@ class VerifiedRequestLimiter {
 
   /// Should a validated request from `host` be forwarded at `now`?
   bool allow(net::Ipv4Address host, SimTime now);
-
-  /// Warms the per-host bucket line for `host` (shard batch pre-pass).
-  void prefetch(net::Ipv4Address host) const { buckets_.prefetch(host); }
 
   [[nodiscard]] const LimiterStats& stats() const { return stats_; }
   [[nodiscard]] const Config& config() const { return config_; }

@@ -15,25 +15,19 @@ void Node::trace(obs::TraceEvent event, const net::Packet& packet,
 }
 
 void Node::enable_sharded_service(std::size_t lanes,
-                                  std::size_t ring_capacity,
+                                  std::size_t lane_capacity,
                                   std::size_t batch_max) {
-  if (lanes == 0) lanes = 1;
-  if (batch_max == 0) batch_max = 1;
   lanes_.clear();
-  lanes_.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    lanes_.push_back(ShardLane{
-        common::SpscRing<net::Packet>(ring_capacity), SimTime{},
-        SimDuration{}, false});
-  }
-  batch_max_ = batch_max;
-  batch_.resize(batch_max);
+  lanes_.resize(lanes == 0 ? 1 : lanes);
+  lane_capacity_ = lane_capacity;
+  batch_max_ = batch_max == 0 ? 1 : batch_max;
 }
 
-void Node::deliver_sharded(net::Packet packet) {
-  const std::size_t lane_idx = shard_of(packet);
-  ShardLane& lane = lanes_[lane_idx < lanes_.size() ? lane_idx : 0];
-  if (lane.ring.full()) {
+void Node::deliver(net::Packet packet) {
+  std::size_t lane_idx = lanes_.size() == 1 ? 0 : shard_of(packet);
+  if (lane_idx >= lanes_.size()) lane_idx = 0;
+  ShardLane& lane = lanes_[lane_idx];
+  if (lane.queue.size() >= lane_capacity_) {
     stats_.dropped_queue_full++;
     sim_.mutable_stats().packets_dropped_queue_full++;
     trace(obs::TraceEvent::kQueueDrop, packet, obs::DropReason::kQueueFull);
@@ -42,13 +36,16 @@ void Node::deliver_sharded(net::Packet packet) {
   stats_.rx++;
   sim_.mutable_stats().packets_delivered++;
   trace(obs::TraceEvent::kRx, packet);
-  (void)lane.ring.try_push(std::move(packet));  // full() checked above
-  maybe_schedule_lane(lane_idx < lanes_.size() ? lane_idx : 0);
+  // DNSGUARD_LINT_ALLOW(alloc): deque push moves the packet (payloads are
+  // pooled); the lane is capped at lane_capacity_ so its chunk storage
+  // reaches steady state after warmup
+  lane.queue.push_back(std::move(packet));
+  maybe_schedule_lane(lane_idx);
 }
 
 void Node::maybe_schedule_lane(std::size_t lane_idx) {
   ShardLane& lane = lanes_[lane_idx];
-  if (lane.scheduled || lane.ring.empty()) return;
+  if (lane.scheduled || lane.queue.empty()) return;
   lane.scheduled = true;
   SimTime start = std::max(now(), lane.busy_until);
   sim_.schedule_at(start, [this, lane_idx] { serve_lane(lane_idx); });
@@ -57,39 +54,37 @@ void Node::maybe_schedule_lane(std::size_t lane_idx) {
 void Node::serve_lane(std::size_t lane_idx) {
   ShardLane& lane = lanes_[lane_idx];
   lane.scheduled = false;
-  std::size_t n = 0;
-  while (n < batch_max_ && lane.ring.try_pop(batch_[n])) ++n;
-  if (n == 0) return;
+  if (lane.queue.empty()) return;
 
-  // Attribute this burst's spans (batch pre-pass, per-packet process) to
-  // this lane's profiler cells; merged again only at report time.
+  // Attribute this burst's spans to this lane's profiler cells; merged
+  // again only at report time.
   obs::prof::LaneScope prof_lane(lane_idx);
-  in_batch_ = true;
-  on_batch_begin(lane_idx, batch_.data(), n);
 
-  // The burst is classified at one sim instant, but each packet's service
-  // cost advances the lane clock and its emissions leave at its own
-  // completion time — the same release discipline as the sequential path.
+  // A burst is served at one sim instant, but each packet's service cost
+  // advances the lane clock and its emissions leave at its own completion
+  // time. Packets are processed in place at the front of the queue: every
+  // delivery is a scheduled event, so nothing can join the lane mid-burst.
   SimTime t = std::max(now(), lane.busy_until);
-  for (std::size_t k = 0; k < n; ++k) {
-    batch_index_ = k;
+  for (std::size_t k = 0; k < batch_max_ && !lane.queue.empty(); ++k) {
+    net::Packet& packet = lane.queue.front();
     in_process_ = true;
     SimDuration cost;
     {
       DNSGUARD_PROF_SCOPE(prof_stage_);
-      cost = process(batch_[k]);
+      cost = process(packet);
     }
     in_process_ = false;
-    batch_[k].release_payload();
+    // The packet is consumed: recycle its payload buffer for the encode
+    // paths (handlers that keep the packet copy it, payload included).
+    packet.release_payload();
+    lane.queue.pop_front();
     if (cost.ns < 0) cost.ns = 0;
     stats_.busy = stats_.busy + cost;
-    lane.busy = lane.busy + cost;
     t = t + cost;
+    // Packets emitted during process() leave when its service time ends.
     if (!outbox_.empty()) flush_outbox_at(t);
   }
   lane.busy_until = t;
-  on_batch_end(lane_idx, n);
-  in_batch_ = false;
 
   maybe_schedule_lane(lane_idx);
 }
@@ -109,61 +104,6 @@ void Node::flush_outbox_at(SimTime at) {
       }
     }
   });
-}
-
-void Node::deliver(net::Packet packet) {
-  if (!lanes_.empty()) {
-    deliver_sharded(std::move(packet));
-    return;
-  }
-  if (rx_queue_.size() >= rx_capacity_) {
-    stats_.dropped_queue_full++;
-    sim_.mutable_stats().packets_dropped_queue_full++;
-    trace(obs::TraceEvent::kQueueDrop, packet, obs::DropReason::kQueueFull);
-    return;
-  }
-  stats_.rx++;
-  sim_.mutable_stats().packets_delivered++;
-  trace(obs::TraceEvent::kRx, packet);
-  // DNSGUARD_LINT_ALLOW(alloc): deque push moves the packet (payloads are
-  // pooled); the queue is capped at rx_capacity_ so its chunk storage
-  // reaches steady state after warmup
-  rx_queue_.push_back(std::move(packet));
-  maybe_schedule_service();
-}
-
-void Node::maybe_schedule_service() {
-  if (service_scheduled_ || rx_queue_.empty()) return;
-  service_scheduled_ = true;
-  SimTime start = std::max(now(), busy_until_);
-  sim_.schedule_at(start, [this] { service_one(); });
-}
-
-void Node::service_one() {
-  service_scheduled_ = false;
-  if (rx_queue_.empty()) return;
-  net::Packet packet = std::move(rx_queue_.front());
-  rx_queue_.pop_front();
-
-  in_process_ = true;
-  SimDuration cost;
-  {
-    DNSGUARD_PROF_SCOPE(prof_stage_);
-    cost = process(packet);
-  }
-  in_process_ = false;
-  // The packet is consumed: recycle its payload buffer for the encode
-  // paths (handlers that keep the packet copy it, payload included).
-  packet.release_payload();
-  if (cost.ns < 0) cost.ns = 0;
-
-  stats_.busy = stats_.busy + cost;
-  busy_until_ = now() + cost;
-
-  // Packets emitted during process() leave when the service time elapses.
-  if (!outbox_.empty()) flush_outbox_at(busy_until_);
-
-  maybe_schedule_service();
 }
 
 void Node::send(net::Packet packet) {

@@ -4,22 +4,22 @@
 // and CPU-utilization curve in the paper's evaluation (Figs. 5-7) emerges
 // from nodes whose packet handlers charge calibrated service times.
 //
-// Service discipline: packets wait in a FIFO receive queue; the CPU serves
-// one packet at a time; a handler returns the CPU cost it consumed, and any
+// Service discipline: packets wait in a FIFO receive lane; the CPU serves
+// them in order; a handler returns the CPU cost it consumed, and any
 // packets it emitted leave the node when that service time completes. When
-// the receive queue is full, arrivals are dropped — which is what pushes a
+// the lane is full, arrivals are dropped — which is what pushes a
 // saturated BIND server's goodput off a cliff in Fig. 5.
 //
-// Shard-per-core mode (enable_sharded_service): the node models N
-// independent cores, each fed by a fixed-capacity SPSC ring. deliver()
-// routes arrivals by the subclass's shard_of(); each lane drains its ring
-// in bursts of up to batch_max packets, with its own busy clock.
+// Every node runs the same lane service path. By default it has one lane
+// of `rx_queue_capacity` packets, served one packet per service event.
+// enable_sharded_service() models N independent cores instead: deliver()
+// routes arrivals by the subclass's shard_of(), and each lane drains its
+// queue in bursts of up to batch_max packets with its own busy clock.
 // Determinism rules: the simulator is single-threaded, lane service
 // events tie-break in schedule order (EventQueue FIFO at equal
 // timestamps), a burst is processed at one sim instant, and every
 // packet's emissions are released at that packet's own completion time on
-// its lane — so a 1-lane node below saturation behaves exactly like the
-// sequential discipline, and N-lane runs are bit-for-bit reproducible.
+// its lane, so N-lane runs are bit-for-bit reproducible.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/spsc_ring.h"
 #include "common/time.h"
 #include "net/packet.h"
 #include "obs/profiler.h"
@@ -50,7 +49,8 @@ class Node {
  public:
   explicit Node(Simulator& sim, std::string name,
                 std::size_t rx_queue_capacity = 4096)
-      : sim_(sim), name_(std::move(name)), rx_capacity_(rx_queue_capacity) {
+      : sim_(sim), name_(std::move(name)) {
+    enable_sharded_service(1, rx_queue_capacity, 1);
     sim_.add_node(this);
   }
   virtual ~Node() { sim_.remove_node(this); }
@@ -66,10 +66,7 @@ class Node {
   [[nodiscard]] Simulator& sim() { return sim_; }
   [[nodiscard]] const Simulator& sim() const { return sim_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
-  void reset_stats() {
-    stats_ = NodeStats{};
-    for (auto& lane : lanes_) lane.busy = SimDuration{};
-  }
+  void reset_stats() { stats_ = NodeStats{}; }
 
   /// CPU utilization between `reset_stats()` (or construction) and now,
   /// given the elapsed window length.
@@ -82,28 +79,10 @@ class Node {
   /// Entry point used by the Simulator: enqueue an arriving packet.
   void deliver(net::Packet packet);
 
-  [[nodiscard]] std::size_t rx_queue_depth() const {
-    if (!lanes_.empty()) {
-      std::size_t total = 0;
-      for (const auto& lane : lanes_) total += lane.ring.size();
-      return total;
-    }
-    return rx_queue_.size();
-  }
-
-  /// Number of shard lanes (0 when the node runs the classic sequential
-  /// discipline).
-  [[nodiscard]] std::size_t shard_lane_count() const { return lanes_.size(); }
-  /// CPU time accumulated by one lane since the last reset_stats().
-  [[nodiscard]] SimDuration shard_busy(std::size_t lane) const {
-    return lanes_[lane].busy;
-  }
-
   /// The node's packet-lifecycle trace ring (rx -> classify -> rewrite /
   /// drop -> tx). Bounded, always on, dumpable on test failure:
   ///   EXPECT_EQ(...) << node.trace_ring().dump(node.name());
   [[nodiscard]] const obs::TraceRing& trace_ring() const { return trace_; }
-  obs::TraceRing& mutable_trace_ring() { return trace_; }
 
  protected:
   /// Handles one packet. Implementations do their protocol work, emit
@@ -113,38 +92,18 @@ class Node {
 
   // --- shard-per-core service (opt-in) -------------------------------------
 
-  /// Switches this node to N shard lanes, each a `ring_capacity` SPSC ring
-  /// drained in bursts of up to `batch_max` packets. Call once, from the
-  /// subclass constructor, before any packet is delivered.
-  void enable_sharded_service(std::size_t lanes, std::size_t ring_capacity,
+  /// Switches this node to N shard lanes, each a FIFO of `lane_capacity`
+  /// packets drained in bursts of up to `batch_max` packets. Call once,
+  /// from the subclass constructor, before any packet is delivered.
+  void enable_sharded_service(std::size_t lanes, std::size_t lane_capacity,
                               std::size_t batch_max);
 
-  /// Maps an arriving packet to a lane index in [0, shard_lane_count()).
-  /// Must be a pure function of the packet (determinism).
+  /// Maps an arriving packet to a lane index in [0, lanes). Must be a
+  /// pure function of the packet (determinism). Not called on a 1-lane
+  /// node.
   [[nodiscard]] virtual std::size_t shard_of(const net::Packet&) const {
     return 0;
   }
-
-  /// Batch hooks: a lane's burst of `n` packets is announced before the
-  /// per-packet process() calls and closed after them. Subclasses use
-  /// them to prefetch state, pre-verify cookies in bulk and amortize
-  /// metric updates; the default is a no-op.
-  virtual void on_batch_begin(std::size_t lane, const net::Packet* batch,
-                              std::size_t n) {
-    (void)lane;
-    (void)batch;
-    (void)n;
-  }
-  virtual void on_batch_end(std::size_t lane, std::size_t n) {
-    (void)lane;
-    (void)n;
-  }
-
-  /// True while a shard burst is being processed; batch_index() is the
-  /// current packet's position within it (matches the `batch` array the
-  /// hooks saw).
-  [[nodiscard]] bool in_batch() const { return in_batch_; }
-  [[nodiscard]] std::size_t batch_index() const { return batch_index_; }
 
   /// Emits a packet into the routed network (released at service end).
   void send(net::Packet packet);
@@ -178,15 +137,11 @@ class Node {
   };
 
   struct ShardLane {
-    common::SpscRing<net::Packet> ring;
+    std::deque<net::Packet> queue;
     SimTime busy_until{};
-    SimDuration busy{};
     bool scheduled = false;
   };
 
-  void maybe_schedule_service();
-  void service_one();
-  void deliver_sharded(net::Packet packet);
   void maybe_schedule_lane(std::size_t lane);
   void serve_lane(std::size_t lane);
   void flush_outbox_at(SimTime at);
@@ -194,17 +149,11 @@ class Node {
   Simulator& sim_;
   std::uint64_t sim_id_ = 0;
   std::string name_;
-  std::size_t rx_capacity_;
-  std::deque<net::Packet> rx_queue_;
   std::vector<PendingSend> outbox_;
-  SimTime busy_until_{};
-  bool service_scheduled_ = false;
   bool in_process_ = false;
-  std::vector<ShardLane> lanes_;       // empty => classic discipline
-  std::vector<net::Packet> batch_;     // burst scratch, sized batch_max
-  std::size_t batch_max_ = 0;
-  std::size_t batch_index_ = 0;
-  bool in_batch_ = false;
+  std::vector<ShardLane> lanes_;
+  std::size_t lane_capacity_ = 0;
+  std::size_t batch_max_ = 1;
   obs::prof::Stage prof_stage_ = obs::prof::Stage::kNodeService;
   NodeStats stats_;
   obs::TraceRing trace_{128};

@@ -1,8 +1,7 @@
 // Shard-per-core guard: determinism (same seed + same shard count =>
-// byte-identical run), counter equivalence between the classic service
-// path and the ring/batch path, counter equivalence across shard counts,
-// and per-shard divided table caps under a million-source spoofed flood
-// (DESIGN.md §13).
+// byte-identical run), counter equivalence across shard counts and lane
+// burst sizes, and per-shard divided table caps under a million-source
+// spoofed flood (DESIGN.md §13).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -47,8 +46,8 @@ struct Bed {
     gc.subnet_base = Ipv4Address(10, 1, 1, 0);
     gc.scheme = scheme;
     // Generous limits: equivalence tests must not sit on a rate-limiter
-    // edge, where the batch path's classify-at-burst-start timestamps
-    // could legitimately flip a marginal allow/deny.
+    // edge, where a burst's classify-at-burst-start timestamps could
+    // legitimately flip a marginal allow/deny.
     gc.rl1.per_address_rate = 1e7;
     gc.rl1.per_address_burst = 1e6;
     gc.rl2.per_host_rate = 1e7;
@@ -114,9 +113,9 @@ bool is_partitioned_metric(const std::string& name) {
   return false;
 }
 
-/// The ring path dispatches one lane-service event per burst instead of
-/// one per packet, so the scheduler's own event tally legitimately
-/// differs between service paths; every packet-level counter must not.
+/// A lane dispatches one service event per burst, so the scheduler's own
+/// event tally legitimately differs with shard count and burst size;
+/// every packet-level counter must not.
 bool is_service_path_dependent(const std::string& name) {
   return name == "sim.events_dispatched" || is_partitioned_metric(name);
 }
@@ -129,17 +128,17 @@ struct RunOutcome {
   std::uint64_t spoofs_dropped = 0;
 };
 
-RunOutcome run_workload(std::size_t num_shards, bool force_shard_service,
-                        std::uint64_t seed) {
+RunOutcome run_workload(std::size_t num_shards, std::uint64_t seed,
+                        std::size_t shard_batch_max = 32) {
   Bed bed;
   bed.make_guard(Scheme::ModifiedDns, [&](RemoteGuardNode::Config& c) {
     c.num_shards = num_shards;
-    c.force_shard_service = force_shard_service;
+    c.shard_batch_max = shard_batch_max;
   });
   auto* d =
       bed.add_driver(DriveMode::ModifiedHit, 8, Ipv4Address(10, 0, 1, 1), seed);
   // Spoofed sources spread across a /16 so every shard sees flood
-  // traffic; random TXT cookies exercise the batched verify path.
+  // traffic; random TXT cookies exercise the verify-and-drop path.
   bed.add_flood(20000, seed + 1,
                 {.spoof_base = Ipv4Address(10, 200, 0, 0),
                  .spoof_range = 1u << 16,
@@ -175,8 +174,8 @@ void expect_counter_maps_equal(const CounterMap& a, const CounterMap& b,
 
 TEST(ShardDeterminism, SameSeedSameShardCountIsByteIdentical) {
   for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    RunOutcome a = run_workload(n, /*force_shard_service=*/n == 1, 42);
-    RunOutcome b = run_workload(n, /*force_shard_service=*/n == 1, 42);
+    RunOutcome a = run_workload(n, 42);
+    RunOutcome b = run_workload(n, 42);
     EXPECT_EQ(a.traffic_hash, b.traffic_hash) << n << " shards";
     EXPECT_EQ(a.completed, b.completed) << n << " shards";
     expect_counter_maps_equal(a.all_counters, b.all_counters,
@@ -184,40 +183,24 @@ TEST(ShardDeterminism, SameSeedSameShardCountIsByteIdentical) {
   }
 }
 
-TEST(ShardEquivalence, ForceShardServiceMatchesClassicCounters) {
-  // One shard, ring/batch service path vs the classic rx-queue path:
-  // same metric names, and (away from limiter edges) the same value for
-  // every counter in the registry — batching only re-times work, it must
-  // not reclassify any packet.
-  RunOutcome classic = run_workload(1, false, 42);
-  RunOutcome batched = run_workload(1, true, 42);
-  EXPECT_GT(classic.completed, 100u);
-  EXPECT_GT(classic.spoofs_dropped, 1000u);
-  EXPECT_EQ(classic.completed, batched.completed);
-  // Same shard count on both sides, so even the (legacy-named) table
-  // metrics must agree; only the scheduler's event tally may differ.
-  CounterMap a = classic.all_counters;
-  CounterMap b = batched.all_counters;
-  a.erase("sim.events_dispatched");
-  b.erase("sim.events_dispatched");
-  expect_counter_maps_equal(a, b, "classic vs batched");
-}
-
 TEST(ShardEquivalence, CounterTotalsInvariantAcrossShardCounts) {
-  // Partitioning the tables must not change any externally observable
-  // tally: same verdicts, same drops, same forwards for 1, 2, 8 shards.
-  RunOutcome one = run_workload(1, false, 42);
-  RunOutcome two = run_workload(2, false, 42);
-  RunOutcome eight = run_workload(8, false, 42);
+  // Partitioning the tables and serving lanes in bursts must not change
+  // any externally observable tally: same verdicts, same drops, same
+  // forwards for 1 shard and for 2 or 8 shards at every burst size.
+  RunOutcome one = run_workload(1, 42);
   EXPECT_GT(one.completed, 100u);
-  EXPECT_EQ(one.completed, two.completed);
-  EXPECT_EQ(one.completed, eight.completed);
-  EXPECT_EQ(one.spoofs_dropped, two.spoofs_dropped);
-  EXPECT_EQ(one.spoofs_dropped, eight.spoofs_dropped);
-  expect_counter_maps_equal(one.invariant_counters, two.invariant_counters,
-                            "1 vs 2 shards");
-  expect_counter_maps_equal(one.invariant_counters, eight.invariant_counters,
-                            "1 vs 8 shards");
+  EXPECT_GT(one.spoofs_dropped, 1000u);
+  for (std::size_t n : {std::size_t{2}, std::size_t{8}}) {
+    for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+      const std::string label = "1 vs " + std::to_string(n) +
+                                " shards, burst " + std::to_string(batch);
+      RunOutcome many = run_workload(n, 42, batch);
+      EXPECT_EQ(one.completed, many.completed) << label;
+      EXPECT_EQ(one.spoofs_dropped, many.spoofs_dropped) << label;
+      expect_counter_maps_equal(one.invariant_counters,
+                                many.invariant_counters, label);
+    }
+  }
 }
 
 // --- per-shard divided caps under a spoofed flood ---------------------------

@@ -236,21 +236,42 @@ TEST(CpuModel, UtilizationMatchesLoad) {
   EXPECT_NEAR(server.utilization(seconds(1)), 0.1, 0.01);
 }
 
+/// A ProbeNode served by N lanes; shard_of keeps the default lane 0.
+class LaneProbeNode : public ProbeNode {
+ public:
+  LaneProbeNode(Simulator& sim, std::string name, SimDuration cost,
+                std::size_t lanes, std::size_t lane_cap, std::size_t batch_max)
+      : ProbeNode(sim, std::move(name), cost) {
+    enable_sharded_service(lanes, lane_cap, batch_max);
+  }
+};
+
 TEST(CpuModel, SaturationDropsAtFullQueue) {
-  // A server with 1 ms service and a 4-packet queue hit with 100 packets
-  // at once: 4 queued + 1 in service progression; most are dropped.
+  // A server with 1 ms service and a 5-packet lane hit with 100 packets
+  // at once: all 100 arrive before the first service event runs, so
+  // exactly 5 are received and 95 dropped, whether the node runs its
+  // default single lane or three lanes served in bursts.
   Simulator sim;
-  ProbeNode server(sim, "server", milliseconds(1), /*queue_cap=*/4);
+  ProbeNode one_lane(sim, "one_lane", milliseconds(1), /*queue_cap=*/5);
+  LaneProbeNode three_lanes(sim, "three_lanes", milliseconds(1), 3,
+                            /*lane_cap=*/5, /*batch_max=*/4);
   ProbeNode client(sim, "client", SimDuration{});
-  sim.add_host_route(Ipv4Address(10, 0, 0, 1), &server);
+  sim.add_host_route(Ipv4Address(10, 0, 0, 1), &one_lane);
+  sim.add_host_route(Ipv4Address(10, 0, 0, 2), &three_lanes);
 
   for (int i = 0; i < 100; ++i) {
     sim.send_packet(&client, make_pkt(Ipv4Address(10, 0, 0, 9),
                                       Ipv4Address(10, 0, 0, 1)));
+    sim.send_packet(&client, make_pkt(Ipv4Address(10, 0, 0, 9),
+                                      Ipv4Address(10, 0, 0, 2)));
   }
   sim.run_all();
-  EXPECT_GT(server.stats().dropped_queue_full, 90u);
-  EXPECT_EQ(server.stats().rx + server.stats().dropped_queue_full, 100u);
+  for (const ProbeNode* server : {static_cast<const ProbeNode*>(&one_lane),
+                                  static_cast<const ProbeNode*>(&three_lanes)}) {
+    EXPECT_EQ(server->stats().rx, 5u) << server->name();
+    EXPECT_EQ(server->stats().dropped_queue_full, 95u) << server->name();
+    EXPECT_EQ(server->arrivals.size(), 5u) << server->name();
+  }
 }
 
 TEST(Conservation, SentEqualsDeliveredPlusDropped) {

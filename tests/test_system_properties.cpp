@@ -4,8 +4,10 @@
 // floods (DESIGN.md §10).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <limits>
+#include <type_traits>
 
 #include "attack/attackers.h"
 #include "guard/comparison.h"
@@ -185,11 +187,16 @@ TEST(MultiLrs, CookiesAreNotTransferableBetweenSources) {
 
 // Table I metadata vs live behaviour: packet counts per request measured
 // through the network tap must match the profile table's claims.
+// gtest prints a parameter without operator<< as its raw bytes, and CTest
+// names each case from that print; the padding after `scheme` is therefore
+// spelled out and zeroed so the case names do not vary from run to run.
 struct ProfileCase {
   Scheme scheme;
+  std::uint8_t padding[3] = {};
   DriveMode miss_mode;
   DriveMode hit_mode;
 };
+static_assert(std::has_unique_object_representations_v<ProfileCase>);
 
 class ProfilePacketCounts : public ::testing::TestWithParam<ProfileCase> {};
 
@@ -231,12 +238,15 @@ TEST_P(ProfilePacketCounts, MatchComparisonTable) {
 INSTANTIATE_TEST_SUITE_P(
     Schemes, ProfilePacketCounts,
     ::testing::Values(
-        ProfileCase{Scheme::NsName, DriveMode::NsNameMiss,
-                    DriveMode::NsNameHit},
-        ProfileCase{Scheme::FabricatedNsIp, DriveMode::FabricatedMiss,
-                    DriveMode::FabricatedHit},
-        ProfileCase{Scheme::ModifiedDns, DriveMode::ModifiedMiss,
-                    DriveMode::ModifiedHit}));
+        ProfileCase{.scheme = Scheme::NsName,
+                    .miss_mode = DriveMode::NsNameMiss,
+                    .hit_mode = DriveMode::NsNameHit},
+        ProfileCase{.scheme = Scheme::FabricatedNsIp,
+                    .miss_mode = DriveMode::FabricatedMiss,
+                    .hit_mode = DriveMode::FabricatedHit},
+        ProfileCase{.scheme = Scheme::ModifiedDns,
+                    .miss_mode = DriveMode::ModifiedMiss,
+                    .hit_mode = DriveMode::ModifiedHit}));
 
 // --- bounded per-source state under a spoofed-source flood ------------------
 //

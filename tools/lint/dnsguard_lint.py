@@ -22,7 +22,7 @@ runtime and that ordinary code review keeps failing to protect:
   shard-isolation  In classes that carry a per-shard `struct Shard`,
                    per-source mutable state (BoundedTable / *Limiter
                    members) must live inside Shard, and functions on the
-                   sharded batch path (process / serve_lane / on_batch_*)
+                   sharded packet path (process / serve_lane)
                    must not index `shards_` with a hard-coded constant.
                    Deliberately global state carries `shardsafe`.
   determinism      Across src/ and bench/: no rand()/std::random_device,
@@ -70,6 +70,7 @@ Exit codes: 0 clean, 1 findings (with --strict), 2 usage/internal error.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import re
@@ -104,7 +105,7 @@ RULE_HELP = {
     "sim-time-purity": ("no wall-clock reads outside the sanctioned "
                         "time/profiler/bench files"),
     "shard-isolation": ("per-source state in sharded classes lives inside "
-                        "struct Shard; batch-path code never hard-codes a "
+                        "struct Shard; packet-path code never hard-codes a "
                         "shard index"),
     "determinism": ("no rand()/random_device, pointer-value hashing or "
                     "ordering, or std::unordered_* iteration in src/ and "
@@ -131,12 +132,10 @@ HOT_PATH_ROOTS = (
     "TokenBucket::try_consume",
     "Packet::release_payload",
     "Node::deliver",
-    # Shard service path: ring transfer, batched MD5, and table prefetch
-    # all run once per packet (or per burst) inside serve_lane.
-    "SpscRing::try_push",
-    "SpscRing::try_pop",
+    # Lane service path: every packet of every node is served by
+    # serve_lane, and each one hashes at most a few MD5 blocks.
+    "Node::serve_lane",
     "CookieHasher::compute",
-    "BoundedTable::prefetch",
     "Node::maybe_schedule_lane",
     "Node::flush_outbox_at",
     # Wall-clock profiler probes (obs/profiler.h): a probe fires inside
@@ -233,12 +232,11 @@ SHARD_PER_SOURCE_DECL = re.compile(
     r"(?:\w+::)*(?:BoundedTable\s*<[^;]*?>|\w+Limiter(?!\s*::))"
     r"\s+(\w+)\s*(?:\{[^;]*\})?;")
 # Hard-coded shard subscripts (`shards_[0]`) are fine in cold setup code
-# but a cross-shard leak on the batch path.
+# but a cross-shard leak on the packet path.
 SHARD_LITERAL_INDEX = re.compile(r"\bshards_\s*\[\s*\d+\s*\]")
-# Functions whose bodies (and transitive callees) form the sharded batch
-# path: the per-packet service entry and the batch hooks.
-SHARD_BATCH_ROOTS = ("process", "serve_lane", "on_batch_begin",
-                     "on_batch_end")
+# Functions whose bodies (and transitive callees) form the sharded packet
+# path: the per-packet service entry and the lane service loop.
+SHARD_PATH_ROOTS = ("process", "serve_lane")
 
 # --- determinism -----------------------------------------------------------
 DETERMINISM_PATTERNS = (
@@ -419,6 +417,11 @@ FUNC_DEF = re.compile(
     re.VERBOSE,
 )
 
+# A class/struct head up to its opening brace (`class X final : Base {`).
+CLASS_HEAD = re.compile(
+    r"\b(?:class|struct)\s+(?P<name>[A-Za-z_]\w*)\s*(?:final\s*)?"
+    r"(?::[^;{}()]*)?\{")
+
 KEYWORD_NONFUNC = {
     "if", "for", "while", "switch", "catch", "return", "else", "do",
     "new", "delete", "sizeof", "alignas", "alignof", "case", "default",
@@ -436,6 +439,16 @@ class FunctionDef:
     start_line: int    # line of the opening brace match start
     end_line: int
     body: str          # code-stripped body text (between braces)
+    owner: str = ""    # enclosing class of an in-class definition
+
+    @property
+    def root_name(self) -> str:
+        """The name hot-path roots are matched against: "Class::name" for
+        methods defined inside their class body (whose `qualified` is the
+        bare name), `qualified` otherwise."""
+        if self.owner and self.qualified == self.name:
+            return f"{self.owner}::{self.name}"
+        return self.qualified
 
 
 def extract_functions(sf: SourceFile) -> list:
@@ -444,6 +457,11 @@ def extract_functions(sf: SourceFile) -> list:
     front-end replaces it when libclang is available."""
     text = "\n".join(sf.code_lines)
     line_of = _line_index(text)
+    class_spans = []  # (open brace, close brace, class name)
+    for m in CLASS_HEAD.finditer(text):
+        close = _match_brace(text, m.end() - 1)
+        if close != -1:
+            class_spans.append((m.end() - 1, close, m.group("name")))
     funcs = []
     for m in FUNC_DEF.finditer(text):
         name = m.group("name")
@@ -456,8 +474,11 @@ def extract_functions(sf: SourceFile) -> list:
         if body_end == -1:
             continue
         # Class name context: walk back for "ClassName::" already captured;
-        # nested in-class definitions just get the unqualified name.
+        # nested in-class definitions get the unqualified name, and the
+        # innermost enclosing class is kept as their owner.
         qualified = f"{qual}::{name}" if qual else name
+        at = m.start("name")
+        owners = [(a, c) for a, b, c in class_spans if a < at < b]
         funcs.append(FunctionDef(
             qualified=qualified,
             name=name,
@@ -465,6 +486,7 @@ def extract_functions(sf: SourceFile) -> list:
             start_line=line_of(m.start()),
             end_line=line_of(body_end),
             body=text[open_idx + 1:body_end],
+            owner=max(owners)[1] if owners and not qual else "",
         ))
     return funcs
 
@@ -540,28 +562,48 @@ def check_hot_path_alloc(sources, roots=HOT_PATH_ROOTS, max_depth=3):
             all_funcs.append(fn)
             func_src[id(fn)] = sf
 
-    # Seed with roots.
-    work = [(fn, 0, fn.qualified)
-            for fn in all_funcs if root_matches(fn.qualified, fn.name, roots)]
-    seen = {id(fn) for fn, _, _ in work}
-    findings = []
-    while work:
-        fn, depth, path = work.pop()
-        sf = func_src[id(fn)]
-        findings.extend(_scan_alloc(fn, sf, path))
-        if depth >= max_depth:
-            continue
+    start = [(fn, fn.root_name) for fn in all_funcs
+             if root_matches(fn.root_name, fn.name, roots)]
+
+    def callees(fn):
         for callee in calls_of(fn):
             defs = by_name.get(callee, [])
             # Name-based resolution: only follow unambiguous project
             # functions (a name defined once, or methods of one class).
-            if not defs or len({d.qualified for d in defs}) > 1:
-                continue
-            for d in defs:
-                if id(d) not in seen:
-                    seen.add(id(d))
-                    work.append((d, depth + 1, f"{path} -> {d.qualified}"))
+            if defs and len({d.qualified for d in defs}) == 1:
+                yield from ((d, d.qualified) for d in defs)
+
+    findings = []
+    for fn, path in reachable(start, callees, max_depth, key=id).values():
+        findings.extend(_scan_alloc(fn, func_src[id(fn)], path))
     return findings
+
+
+def reachable(roots, callees, max_depth, key=lambda n: n):
+    """Breadth-first reach from `roots` (pairs of node and display name),
+    following `callees(node)` (pairs of callee and display name) to at
+    most `max_depth` edges. The queue is FIFO, so every node is first
+    reached by one of its shortest routes: whether a node lies within
+    `max_depth` never depends on which root gets to it first (a
+    depth-first walk could reach it first by a long route, stop at the
+    cap, and never expand it from a shorter one). Returns
+    {key(node): (node, "a -> b -> c" trail)}."""
+    found = {}
+    work = collections.deque()
+    for node, label in roots:
+        if key(node) not in found:
+            found[key(node)] = (node, label)
+            work.append((node, 0, label))
+    while work:
+        node, depth, trail = work.popleft()
+        if depth >= max_depth:
+            continue
+        for callee, label in callees(node):
+            if key(callee) not in found:
+                route = f"{trail} -> {label}"
+                found[key(callee)] = (callee, route)
+                work.append((callee, depth + 1, route))
+    return found
 
 
 def _scan_alloc(fn: FunctionDef, sf: SourceFile, path: str):
@@ -712,7 +754,7 @@ def check_sim_time(sources, exempt=TIME_EXEMPT_FILES):
 # Front-end seam for the dataflow rules
 # --------------------------------------------------------------------------
 # The shard-isolation / determinism / decode-bounds rules run one shared
-# dataflow core (unit grouping, Shard spans, batch-path BFS, two-pass
+# dataflow core (unit grouping, Shard spans, packet-path BFS, two-pass
 # container tracking) over a front-end that supplies comment/string-free
 # code lines and function extents. TextFrontend is the built-in lexer;
 # try_clang_frontend() (further down) swaps in libclang's lexer and AST
@@ -758,14 +800,14 @@ def check_shard_isolation(sources, frontend=None):
 
       1. declaration-level: per-source state types (BoundedTable, the
          *Limiter classes) declared outside the Shard struct are findings
-         — shared mutable state the sharded batch path could touch. The
+         — shared mutable state the sharded packet path could touch. The
          shardsafe annotation marks deliberately global members (the TCP
          framer table, a cookie key schedule).
-      2. batch-path dataflow: BFS over the unit's call graph from the
-         batch roots (process / serve_lane / on_batch_*); any function
+      2. packet-path dataflow: BFS over the unit's call graph from the
+         packet-path roots (process / serve_lane); any function
          reached may not index `shards_` with a hard-coded constant —
          cold setup code (constructors, bind_metrics) legitimately pins
-         shard 0, but on the batch path that is a cross-shard leak."""
+         shard 0, but on the packet path that is a cross-shard leak."""
     fe = frontend or TEXT_FRONTEND
     findings = []
     for _, unit in sorted(_group_units(sources).items()):
@@ -807,7 +849,7 @@ def check_shard_isolation(sources, frontend=None):
                     if lineno <= len(sf.raw_lines) else "",
                     allowed=allow_covers(sf, lineno, "shardsafe")))
 
-        # Pass 2: batch-path BFS; hard-coded shard indexing in any
+        # Pass 2: packet-path BFS; hard-coded shard indexing in any
         # reached function.
         by_name: dict = {}
         src_of: dict = {}
@@ -816,7 +858,7 @@ def check_shard_isolation(sources, frontend=None):
             for fn in fe.functions(views[sf.path]):
                 by_name.setdefault(fn.name, []).append(fn)
                 src_of[id(fn)] = sf
-                if fn.name in SHARD_BATCH_ROOTS:
+                if fn.name in SHARD_PATH_ROOTS:
                     roots.append(fn)
         work = list(roots)
         seen = {id(fn) for fn in work}
@@ -829,7 +871,7 @@ def check_shard_isolation(sources, frontend=None):
                     findings.append(Finding(
                         rule="shard-isolation", file=sf.path, line=lineno,
                         message=(f"hard-coded shard index in '{fn.qualified}'"
-                                 " on the sharded batch path — use the lane "
+                                 " on the sharded packet path — use the lane "
                                  "index or cur_shard_; a constant subscript "
                                  "reads another lane's state"),
                         context=sf.raw_lines[lineno - 1].strip()
@@ -1161,12 +1203,15 @@ def try_clang_engine(root, compile_commands):
             visit(tu.cursor)
 
         by_path = {os.path.join(root, sf.path): sf for sf in sources}
-        work = [(usr, 0, info[2]) for usr, info in defs.items()
-                if root_matches(info[2], info[2].split("::")[-1], roots)]
-        seen = {usr for usr, _, _ in work}
+        start = [(usr, info[2]) for usr, info in defs.items()
+                 if root_matches(info[2], info[2].split("::")[-1], roots)]
+        reach = reachable(
+            start,
+            lambda usr: ((c, defs[c][2]) for c in callees.get(usr, ())
+                         if c in defs),
+            max_depth)
         findings = []
-        while work:
-            usr, depth, trail = work.pop()
+        for usr, trail in reach.values():
             for fpath, line, what in alloc_sites.get(usr, []):
                 sf = by_path.get(os.path.abspath(fpath)) or by_path.get(fpath)
                 rel = sf.path if sf else os.path.relpath(fpath, root)
@@ -1174,13 +1219,6 @@ def try_clang_engine(root, compile_commands):
                     rule="hot-path-alloc", file=rel, line=line,
                     message=f"{what} in hot-path (reachable via {trail})",
                     allowed=bool(sf and allow_covers(sf, line, "alloc"))))
-            if depth >= max_depth:
-                continue
-            for cal in callees.get(usr, ()):
-                if cal in defs and cal not in seen:
-                    seen.add(cal)
-                    work.append((cal, depth + 1,
-                                 f"{trail} -> {defs[cal][2]}"))
         return findings
 
     return engine

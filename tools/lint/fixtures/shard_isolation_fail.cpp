@@ -2,7 +2,7 @@
 //
 // Two violations: per-source state (a BoundedTable and a rate limiter)
 // declared outside the nested Shard struct with no shardsafe annotation,
-// and a hard-coded `shards_[0]` subscript inside the batch path — every
+// and a hard-coded `shards_[0]` subscript inside the packet path — every
 // lane would read lane 0's counters instead of its own.
 #include <cstdint>
 #include <memory>

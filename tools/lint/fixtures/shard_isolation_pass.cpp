@@ -3,7 +3,7 @@
 // A sharded class keeps every piece of per-source mutable state inside the
 // nested `struct Shard`, so each lane owns its slice; the one deliberately
 // shared member carries a shardsafe annotation, and the only hard-coded
-// shard subscript sits in cold setup code the batch path never reaches.
+// shard subscript sits in cold setup code the packet path never reaches.
 #include <cstdint>
 #include <memory>
 #include <vector>
