@@ -28,10 +28,13 @@ std::string describe(const net::Packet& p) {
     if (h.flags.fin) flags += "FIN ";
     if (h.flags.rst) flags += "RST ";
     if (h.flags.psh) flags += "PSH ";
-    return "TCP " + flags + (p.payload.empty()
-                                 ? ""
-                                 : "(" + std::to_string(p.payload.size()) +
-                                       "B data)");
+    std::string out = "TCP " + flags;
+    if (!p.payload.empty()) {
+      out += '(';
+      out += std::to_string(p.payload.size());
+      out += "B data)";
+    }
+    return out;
   }
   auto m = dns::Message::decode(BytesView(p.payload));
   if (!m) return "UDP (unparsed)";

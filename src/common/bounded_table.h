@@ -30,7 +30,7 @@
 // touch *other* tables, send packets, and even erase() or insert *other*
 // entries of the evicting table itself (slot storage is stable and the
 // evicted entry is already off the index/LRU when the callback runs —
-// the guard's NAT-evict -> TCP-close -> NAT-erase_if chain relies on
+// the guard's NAT-evict -> TCP-close -> NAT-erase chain relies on
 // this). The one thing it must not do is clear() the evicting table.
 #pragma once
 
@@ -240,6 +240,18 @@ class BoundedTable {
   bool erase(const Key& key) {
     const std::size_t b = find_bucket(key);
     if (b == kNoBucket) return false;
+    remove_bucket(b, std::nullopt);
+    return true;
+  }
+
+  /// Voluntary removal of `key` only if pred(value) holds; an expired
+  /// entry not yet reaped counts as present.
+  template <typename Pred>
+  bool erase(const Key& key, Pred&& pred) {
+    const std::size_t b = find_bucket(key);
+    if (b == kNoBucket || !pred(std::as_const(*slots_[index_[b] - 1].value))) {
+      return false;
+    }
     remove_bucket(b, std::nullopt);
     return true;
   }

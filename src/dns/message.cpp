@@ -10,15 +10,11 @@ void Question::encode(ByteWriter& w, NameCompressor& compressor) const {
   w.u16(static_cast<std::uint16_t>(qclass));
 }
 
-std::optional<Question> Question::decode(Cursor& c) {
-  Question q;
-  auto name = read_name(c);
-  if (!name) return std::nullopt;
-  q.qname = std::move(*name);
+bool Question::decode_into(Cursor& c, Question& q) {
+  if (!read_name_into(c, q.qname)) return false;
   q.qtype = static_cast<RrType>(c.u16());
   q.qclass = static_cast<RrClass>(c.u16());
-  if (!c.ok()) return std::nullopt;
-  return q;
+  return c.ok();
 }
 
 std::string Question::to_string() const {
@@ -65,16 +61,40 @@ void Message::encode_to(Bytes& out) const {
   out = std::move(w).take();
 }
 
-std::optional<Message> Message::decode(BytesView wire) {
+namespace {
+
+/// Decodes `count` entries into `out`, overwriting the entries it already
+/// holds before appending more, so a reused message neither reallocates
+/// nor re-initializes its records. Entries are appended one at a time as
+/// they decode, never sized up front from the attacker-supplied count.
+template <typename T>
+bool decode_section(Cursor& c, std::uint16_t count, std::vector<T>& out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    T& entry = i < out.size() ? out[i] : out.emplace_back();
+    if (!T::decode_into(c, entry)) {
+      out.resize(i);
+      return false;
+    }
+  }
+  out.resize(count);
+  return true;
+}
+
+}  // namespace
+
+bool Message::decode_into(BytesView wire, Message& m) {
   Cursor c(wire);
-  Message m;
+  m.header = Header{};
   m.header.id = c.u16();
   std::uint16_t flags = c.u16();
   std::uint16_t qdcount = c.u16();
   std::uint16_t ancount = c.u16();
   std::uint16_t nscount = c.u16();
   std::uint16_t arcount = c.u16();
-  if (!c.ok()) return std::nullopt;
+  if (!c.ok()) {
+    m.clear();
+    return false;
+  }
 
   m.header.qr = (flags & 0x8000) != 0;
   m.header.opcode = static_cast<Opcode>((flags >> 11) & 0xf);
@@ -84,25 +104,25 @@ std::optional<Message> Message::decode(BytesView wire) {
   m.header.ra = (flags & 0x0080) != 0;
   m.header.rcode = static_cast<Rcode>(flags & 0xf);
 
-  for (std::uint16_t i = 0; i < qdcount; ++i) {
-    auto q = Question::decode(c);
-    if (!q) return std::nullopt;
-    m.questions.push_back(std::move(*q));
-  }
-  auto read_section = [&c](std::uint16_t count,
-                           std::vector<ResourceRecord>& out) {
-    for (std::uint16_t i = 0; i < count; ++i) {
-      auto rr = ResourceRecord::decode(c);
-      if (!rr) return false;
-      out.push_back(std::move(*rr));
-    }
-    return true;
-  };
-  if (!read_section(ancount, m.answers)) return std::nullopt;
-  if (!read_section(nscount, m.authority)) return std::nullopt;
-  if (!read_section(arcount, m.additional)) return std::nullopt;
-  if (!c.at_end()) return std::nullopt;  // trailing garbage
+  if (!decode_section(c, qdcount, m.questions)) return false;
+  if (!decode_section(c, ancount, m.answers)) return false;
+  if (!decode_section(c, nscount, m.authority)) return false;
+  if (!decode_section(c, arcount, m.additional)) return false;
+  return c.at_end();  // trailing garbage
+}
+
+std::optional<Message> Message::decode(BytesView wire) {
+  Message m;
+  if (!decode_into(wire, m)) return std::nullopt;
   return m;
+}
+
+void Message::clear() {
+  header = Header{};
+  questions.clear();
+  answers.clear();
+  authority.clear();
+  additional.clear();
 }
 
 Message Message::query(std::uint16_t id, DomainName qname, RrType qtype,
@@ -116,12 +136,17 @@ Message Message::query(std::uint16_t id, DomainName qname, RrType qtype,
 
 Message Message::response_to(const Message& request) {
   Message m;
-  m.header.id = request.header.id;
-  m.header.qr = true;
-  m.header.opcode = request.header.opcode;
-  m.header.rd = request.header.rd;
-  m.questions = request.questions;
+  m.reset_response_to(request);
   return m;
+}
+
+void Message::reset_response_to(const Message& request) {
+  clear();
+  header.id = request.header.id;
+  header.qr = true;
+  header.opcode = request.header.opcode;
+  header.rd = request.header.rd;
+  questions = request.questions;
 }
 
 bool Message::is_referral() const {

@@ -50,7 +50,8 @@ struct Question {
   RrClass qclass = RrClass::IN;
 
   void encode(ByteWriter& w, NameCompressor& compressor) const;
-  [[nodiscard]] static std::optional<Question> decode(Cursor& c);
+  /// Decodes one question at the cursor into `q`; false on malformation.
+  [[nodiscard]] static bool decode_into(Cursor& c, Question& q);
   [[nodiscard]] std::string to_string() const;
   bool operator==(const Question&) const = default;
 };
@@ -70,7 +71,15 @@ struct Message {
   /// consumed packets return their payloads there (sim::Node), closing the
   /// recycle loop for guard/server fast paths.
   [[nodiscard]] Bytes encode_pooled() const;
+  /// Decodes `wire` into `out`, reusing the capacity of its sections: a
+  /// long-lived scratch message decodes without allocating once it has
+  /// seen its largest message. False on malformation, in which case `out`
+  /// holds a partial message.
+  [[nodiscard]] static bool decode_into(BytesView wire, Message& out);
   [[nodiscard]] static std::optional<Message> decode(BytesView wire);
+
+  /// Resets the header and empties every section, keeping capacity.
+  void clear();
 
   /// Builds a standard query (one question, RD set for stub->LRS usage).
   [[nodiscard]] static Message query(std::uint16_t id, DomainName qname,
@@ -78,6 +87,9 @@ struct Message {
 
   /// Starts a response to `request`: copies id/opcode/question, sets QR.
   [[nodiscard]] static Message response_to(const Message& request);
+  /// response_to() into this message, reusing its capacity. `request`
+  /// must not be this message.
+  void reset_response_to(const Message& request);
 
   [[nodiscard]] const Question* question() const {
     return questions.empty() ? nullptr : &questions.front();

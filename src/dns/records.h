@@ -117,7 +117,9 @@ struct ResourceRecord {
   /// the compressor; names inside RDATA are written uncompressed so RDATA
   /// lengths are context-independent.
   void encode(ByteWriter& w, NameCompressor& compressor) const;
-  [[nodiscard]] static std::optional<ResourceRecord> decode(Cursor& c);
+  /// Decodes one record at the cursor into `rr`, reusing its storage.
+  /// False on malformation (`rr` then holds a partial record).
+  [[nodiscard]] static bool decode_into(Cursor& c, ResourceRecord& rr);
 
   [[nodiscard]] std::string to_string() const;
   bool operator==(const ResourceRecord&) const = default;

@@ -1,23 +1,38 @@
 #include "guard/cookie_engine.h"
 
-#include "common/hex.h"
+#include <algorithm>
 
 namespace dnsguard::guard {
 
-std::optional<std::string> CookieEngine::make_cookie_label(
+namespace {
+
+constexpr std::string_view kHexDigits = "0123456789abcdef";
+
+/// Value of one hex digit (either case), or -1.
+int hex_value(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+}  // namespace
+
+std::optional<CookieEngine::Label> CookieEngine::make_cookie_label(
     net::Ipv4Address requester, std::string_view restore_label) const {
   DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardMint);
-  crypto::Cookie c = mint(requester);
-  std::uint32_t prefix = crypto::cookie_prefix32(c);
-  std::uint8_t be[4] = {
-      static_cast<std::uint8_t>(prefix >> 24),
-      static_cast<std::uint8_t>(prefix >> 16),
-      static_cast<std::uint8_t>(prefix >> 8),
-      static_cast<std::uint8_t>(prefix)};
-  std::string label(kCookieLabelPrefix);
-  label += hex_encode(BytesView(be, 4));
-  label += restore_label;
-  if (label.size() > dns::kMaxLabelLength) return std::nullopt;
+  const std::uint32_t prefix = crypto::cookie_prefix32(mint(requester));
+  const std::size_t size =
+      kCookieLabelPrefix.size() + kCookieHexChars + restore_label.size();
+  if (size > dns::kMaxLabelLength) return std::nullopt;
+  Label label;
+  auto out = std::copy(kCookieLabelPrefix.begin(), kCookieLabelPrefix.end(),
+                       label.bytes_.begin());
+  for (int shift = 28; shift >= 0; shift -= 4) {
+    *out++ = kHexDigits[(prefix >> shift) & 0xf];
+  }
+  std::copy(restore_label.begin(), restore_label.end(), out);
+  label.size_ = static_cast<std::uint8_t>(size);
   return label;
 }
 
@@ -29,20 +44,14 @@ std::optional<CookieEngine::ParsedLabel> CookieEngine::parse_cookie_label(
   if (label.substr(0, kCookieLabelPrefix.size()) != kCookieLabelPrefix) {
     return std::nullopt;
   }
-  std::string_view hex =
-      label.substr(kCookieLabelPrefix.size(), kCookieHexChars);
-  if (!is_hex(hex)) return std::nullopt;
-  auto bytes = hex_decode(hex);
-  if (!bytes || bytes->size() != 4) return std::nullopt;
-  std::uint32_t prefix = (static_cast<std::uint32_t>((*bytes)[0]) << 24) |
-                         (static_cast<std::uint32_t>((*bytes)[1]) << 16) |
-                         (static_cast<std::uint32_t>((*bytes)[2]) << 8) |
-                         static_cast<std::uint32_t>((*bytes)[3]);
-  ParsedLabel out;
-  out.cookie_prefix = prefix;
-  out.restore_label =
-      std::string(label.substr(kCookieLabelPrefix.size() + kCookieHexChars));
-  return out;
+  std::uint32_t prefix = 0;
+  for (char c : label.substr(kCookieLabelPrefix.size(), kCookieHexChars)) {
+    const int v = hex_value(c);
+    if (v < 0) return std::nullopt;
+    prefix = prefix << 4 | static_cast<std::uint32_t>(v);
+  }
+  return ParsedLabel{
+      prefix, label.substr(kCookieLabelPrefix.size() + kCookieHexChars)};
 }
 
 // Mint and verify must agree on the divisor: a config with r_y == 0 still

@@ -14,6 +14,7 @@
 // Key rotation rides on the first cookie bit (see crypto/cookie_hash.h).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -63,14 +64,36 @@ class CookieEngine {
 
   // --- NS-name encoding ----------------------------------------------------
 
+  /// One DNS label held inline (at most 63 bytes): a minted cookie label
+  /// costs no allocation.
+  class Label {
+   public:
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] std::string_view view() const {
+      return {bytes_.data(), size_};
+    }
+    operator std::string_view() const { return view(); }
+    [[nodiscard]] std::string_view substr(
+        std::size_t pos, std::size_t n = std::string_view::npos) const {
+      return view().substr(pos, n);
+    }
+    bool operator==(const Label& other) const { return view() == other.view(); }
+
+   private:
+    friend class CookieEngine;
+    std::array<char, dns::kMaxLabelLength> bytes_{};
+    std::uint8_t size_ = 0;
+  };
+
   /// Builds the cookie label: "PR" + hex8(first4(c)) + `restore_label`.
   /// Fails (nullopt) if the result would exceed the 63-byte label limit.
-  [[nodiscard]] std::optional<std::string> make_cookie_label(
+  [[nodiscard]] std::optional<Label> make_cookie_label(
       net::Ipv4Address requester, std::string_view restore_label) const;
 
   struct ParsedLabel {
     std::uint32_t cookie_prefix;  // the 4 encoded cookie bytes
-    std::string restore_label;    // original label to restore
+    /// The original label to restore: a view into the parsed label.
+    std::string_view restore_label;
   };
   /// Parses a label of the above shape; nullopt if it isn't one.
   [[nodiscard]] static std::optional<ParsedLabel> parse_cookie_label(

@@ -1,6 +1,7 @@
 #include "guard/remote_guard.h"
 
 #include "common/log.h"
+#include "common/pool.h"
 
 namespace dnsguard::guard {
 
@@ -83,8 +84,8 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
       config_(std::move(config)),
       ans_(ans),
       engine_(config_.key_seed),
-      framers_({.capacity = config_.proxy_max_connections,
-                .evict_lru_when_full = true}) {
+      proxy_conns_({.capacity = config_.proxy_max_connections,
+                    .evict_lru_when_full = true}) {
   set_profile_stage(obs::prof::Stage::kGuardService);
   if (config_.num_shards == 0) config_.num_shards = 1;
   const std::size_t n = config_.num_shards;
@@ -131,16 +132,16 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
                             BytesView data) { proxy_on_data(id, data); },
           .on_closed =
               [this](tcp::ConnId id) {
-                framers_.erase(id);
-                // A connection's NAT entries live in the shard of its
-                // client address; close can fire from timer context where
-                // cur_shard_ is stale, so sweep every shard.
-                for (auto& sh : shards_) {
-                  sh->nat.erase_if(
-                      [id](const std::uint16_t&, const NatEntry& e) {
-                        return e.conn == id;
-                      });
-                }
+                ProxyConn* pc = proxy_conns_.find(id, now());
+                if (pc == nullptr) return;
+                // Each port names its shard (close can fire from timer
+                // context, where cur_shard_ is stale). The conn check
+                // leaves a port alone that another connection now holds.
+                pc->for_each_port([this, id](std::uint16_t port) {
+                  shards_[shard_of_nat_port(port)]->nat.erase(
+                      port, [id](const NatEntry& e) { return e.conn == id; });
+                });
+                proxy_conns_.erase(id);
               },
       },
       tcp::TcpStack::Options{.syn_cookies = true,
@@ -154,11 +155,12 @@ RemoteGuardNode::RemoteGuardNode(sim::Simulator& sim, std::string name,
   // (TTL) or its port was recycled under pressure (capacity): close the
   // proxied connection rather than leave the client hanging.
   for (auto& sh : shards_) {
-    sh->nat.set_evict_callback([this](const std::uint16_t&, NatEntry& e,
+    sh->nat.set_evict_callback([this](const std::uint16_t& port, NatEntry& e,
                                       common::EvictReason reason) {
       drops_.count(reason == common::EvictReason::kCapacity
                        ? obs::DropReason::kStateTableFull
                        : obs::DropReason::kProxyTimeout);
+      forget_nat_port(e.conn, port);
       tcp_->close(e.conn);
     });
   }
@@ -257,6 +259,20 @@ void RemoteGuardNode::emit(net::Packet p) {
   send(std::move(p));
 }
 
+void RemoteGuardNode::emit_copy(const net::Packet& packet,
+                                net::Ipv4Address src) {
+  // The payload copy draws its buffer from the pool the node service loop
+  // refills with consumed payloads, so relaying allocates nothing.
+  net::Packet out;
+  out.src_ip = src;
+  out.dst_ip = packet.dst_ip;
+  out.ttl = packet.ttl;
+  out.transport = packet.transport;
+  out.payload = BufferPool::local().acquire(packet.payload.size());
+  out.payload.assign(packet.payload.begin(), packet.payload.end());
+  emit(std::move(out));
+}
+
 void RemoteGuardNode::emit_direct(sim::Node* to, net::Packet p) {
   charge(config_.costs.packet);
   send_direct(to, std::move(p));
@@ -324,7 +340,7 @@ bool RemoteGuardNode::admit_verified(const net::Packet& packet, Scheme scheme,
   return false;
 }
 
-void RemoteGuardNode::reply(const net::Packet& to, dns::Message response,
+void RemoteGuardNode::reply(const net::Packet& to, const dns::Message& response,
                             std::optional<net::Ipv4Address> src_override) {
   charge(config_.costs.transform);
   trace(obs::TraceEvent::kRewrite, to);
@@ -334,7 +350,7 @@ void RemoteGuardNode::reply(const net::Packet& to, dns::Message response,
 }
 
 void RemoteGuardNode::forward_to_ans(const net::Packet& original,
-                                     dns::Message query) {
+                                     const dns::Message& query) {
   stats_.forwarded_to_ans++;
   if (cur_jkey_valid_ && query.question() != nullptr) {
     // The question may have been restored/rewritten: teach the journey the
@@ -358,18 +374,19 @@ std::size_t RemoteGuardNode::shard_of_ip(net::Ipv4Address ip) const {
       (static_cast<std::uint64_t>(h) * shards_.size()) >> 32);
 }
 
+std::size_t RemoteGuardNode::shard_of_nat_port(std::uint16_t port) const {
+  if (port < kNatPortBase || nat_ports_per_shard_ == 0) return 0;
+  const std::size_t k = (port - kNatPortBase) / nat_ports_per_shard_;
+  return k < shards_.size() ? k : 0;
+}
+
 std::size_t RemoteGuardNode::shard_of(const net::Packet& packet) const {
   if (shards_.size() == 1) return 0;
   if (packet.is_udp() && packet.src_ip == config_.ans_address) {
     if (packet.dst_ip == config_.guard_address) {
       // Proxied-query reply: the NAT destination port identifies the
       // shard that allocated it (the client's shard).
-      const std::uint32_t port = packet.udp().dst_port;
-      if (port >= kNatPortBase && nat_ports_per_shard_ > 0) {
-        const std::size_t k = (port - kNatPortBase) / nat_ports_per_shard_;
-        return k < shards_.size() ? k : 0;
-      }
-      return 0;
+      return shard_of_nat_port(packet.udp().dst_port);
     }
     // Plain ANS response: owned by the requester's shard.
     return shard_of_ip(packet.dst_ip);
@@ -428,24 +445,24 @@ SimDuration RemoteGuardNode::process(const net::Packet& packet) {
     return cost_;
   }
 
-  std::optional<dns::Message> m;
+  bool decoded = false;
   {
     DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardDecode);
-    m = dns::Message::decode(BytesView(packet.payload));
+    decoded = dns::Message::decode_into(BytesView(packet.payload), request_);
   }
-  if (!m || m->header.qr || m->question() == nullptr) {
+  if (!decoded || request_.header.qr || request_.question() == nullptr) {
     stats_.malformed++;
     drop_other(packet, obs::DropReason::kMalformed);
     charge(config_.costs.drop);
     return cost_;
   }
 
-  handle_request(packet, *m);
+  handle_request(packet, request_);
   return cost_;
 }
 
 void RemoteGuardNode::handle_request(const net::Packet& packet,
-                                     const dns::Message& query) {
+                                     dns::Message& query) {
   stats_.requests_seen++;
   trace(obs::TraceEvent::kClassify, packet);
   if (sim().journeys().enabled()) {
@@ -498,7 +515,7 @@ void RemoteGuardNode::handle_request(const net::Packet& packet,
 // --- modified-DNS scheme (§III.D) -------------------------------------------
 
 void RemoteGuardNode::do_modified_dns(const net::Packet& packet,
-                                      const dns::Message& query,
+                                      dns::Message& query,
                                       const crypto::Cookie& cookie) {
   if (CookieEngine::is_zero_cookie(cookie)) {
     // msg 2: a cookie request. Reply msg 3 (same size; no amplification),
@@ -508,11 +525,11 @@ void RemoteGuardNode::do_modified_dns(const net::Packet& packet,
     stats_.cookies_minted++;
     scheme_cells(Scheme::ModifiedDns).minted++;
     jmark("guard.mint");
-    dns::Message resp = dns::Message::response_to(query);
-    CookieEngine::attach_txt_cookie(resp, engine_.mint(packet.src_ip),
+    out_.reset_response_to(query);
+    CookieEngine::attach_txt_cookie(out_, engine_.mint(packet.src_ip),
                                     config_.cookie_ttl);
     stats_.cookie_replies++;
-    reply(packet, std::move(resp));
+    reply(packet, out_);
     return;
   }
 
@@ -521,18 +538,17 @@ void RemoteGuardNode::do_modified_dns(const net::Packet& packet,
     return;
   }
   // msg 5: strip the extension; the ANS never sees cookies.
-  dns::Message stripped = query;
-  CookieEngine::strip_txt_cookie(stripped);
+  CookieEngine::strip_txt_cookie(query);
   charge(config_.costs.transform);
   trace(obs::TraceEvent::kRewrite, packet);
-  forward_to_ans(packet, std::move(stripped));
+  forward_to_ans(packet, query);
 }
 
 // --- DNS-based scheme, NS-name variant (§III.B.1, Fig. 2(a)) ----------------
 
 void RemoteGuardNode::do_ns_name(const net::Packet& packet,
-                                 const dns::Message& query) {
-  const dns::Question& q = *query.question();
+                                 dns::Message& query) {
+  dns::Question& q = query.questions.front();
   const auto& zone = config_.protected_zone;
 
   // Is this a cookie query (msg 3): [cookie-label] directly under the
@@ -563,9 +579,8 @@ void RemoteGuardNode::do_ns_name(const net::Packet& packet,
       cur_shard_->pending.erase(pkey);
       cur_shard_->pending.try_emplace(pkey, now(), std::move(action));
 
-      dns::Message rewritten = query;
-      rewritten.questions.front().qname = *restored;
-      forward_to_ans(packet, std::move(rewritten));
+      q.qname = *restored;
+      forward_to_ans(packet, query);
       return;
     }
   }
@@ -577,15 +592,15 @@ void RemoteGuardNode::do_ns_name(const net::Packet& packet,
     do_tcp_redirect(packet, query);
     return;
   }
-  dns::DomainName next_level = q.qname.suffix(zone.label_count() + 1);
-  std::string next_label(next_level.first_label());
+  const dns::DomainName next_level = q.qname.suffix(zone.label_count() + 1);
 
   if (!admit_rl1(packet)) return;
   charge(config_.costs.cookie);
   stats_.cookies_minted++;
   scheme_cells(Scheme::NsName).minted++;
   jmark("guard.mint");
-  auto label = engine_.make_cookie_label(packet.src_ip, next_label);
+  auto label =
+      engine_.make_cookie_label(packet.src_ip, next_level.first_label());
   if (!label) {  // label overflow: oversized original label; fall back
     do_tcp_redirect(packet, query);
     return;
@@ -596,11 +611,11 @@ void RemoteGuardNode::do_ns_name(const net::Packet& packet,
     return;
   }
 
-  dns::Message resp = dns::Message::response_to(query);
-  resp.authority.push_back(dns::ResourceRecord::ns(
+  out_.reset_response_to(query);
+  out_.authority.push_back(dns::ResourceRecord::ns(
       next_level, *fabricated, config_.fabricated_ns_ttl));
   stats_.fabricated_referrals++;
-  reply(packet, std::move(resp));
+  reply(packet, out_);
 }
 
 // --- DNS-based scheme, fabricated NS+IP variant (§III.B.2, Fig. 2(b)) -------
@@ -642,12 +657,12 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
       jmark("guard.mint");
       net::Ipv4Address cookie2 = engine_.make_cookie_address(
           packet.src_ip, config_.subnet_base, config_.r_y);
-      dns::Message resp = dns::Message::response_to(query);
-      resp.header.aa = true;
-      resp.answers.push_back(
+      out_.reset_response_to(query);
+      out_.header.aa = true;
+      out_.answers.push_back(
           dns::ResourceRecord::a(q.qname, cookie2, config_.cookie_ttl));
       stats_.cookie_replies++;
-      reply(packet, std::move(resp));
+      reply(packet, out_);
       return;
     }
   }
@@ -662,8 +677,7 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
   stats_.cookies_minted++;
   scheme_cells(Scheme::FabricatedNsIp).minted++;
   jmark("guard.mint");
-  auto label = engine_.make_cookie_label(packet.src_ip,
-                                         std::string(q.qname.first_label()));
+  auto label = engine_.make_cookie_label(packet.src_ip, q.qname.first_label());
   if (!label) {
     do_tcp_redirect(packet, query);
     return;
@@ -673,11 +687,11 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
     do_tcp_redirect(packet, query);
     return;
   }
-  dns::Message resp = dns::Message::response_to(query);
-  resp.authority.push_back(dns::ResourceRecord::ns(
+  out_.reset_response_to(query);
+  out_.authority.push_back(dns::ResourceRecord::ns(
       q.qname, *fabricated, config_.fabricated_ns_ttl));
   stats_.fabricated_referrals++;
-  reply(packet, std::move(resp));
+  reply(packet, out_);
 }
 
 // --- TCP-based scheme (§III.C) ----------------------------------------------
@@ -685,15 +699,40 @@ void RemoteGuardNode::do_fabricated_ns_ip(const net::Packet& packet,
 void RemoteGuardNode::do_tcp_redirect(const net::Packet& packet,
                                       const dns::Message& query) {
   if (!admit_rl1(packet)) return;
-  dns::Message resp = dns::Message::response_to(query);
-  resp.header.tc = true;  // same size as the request: no amplification
+  out_.reset_response_to(query);
+  out_.header.tc = true;  // same size as the request: no amplification
   stats_.tc_redirects++;
   jmark("guard.tc_redirect");
-  reply(packet, std::move(resp));
+  reply(packet, out_);
+}
+
+void RemoteGuardNode::ProxyConn::add_port(std::uint16_t port) {
+  if (inline_ports < kInlinePorts) {
+    ports[inline_ports++] = port;
+  } else {
+    spilled_ports.push_back(port);
+  }
+}
+
+void RemoteGuardNode::ProxyConn::remove_port(std::uint16_t port) {
+  for (std::size_t i = 0; i < inline_ports; ++i) {
+    if (ports[i] != port) continue;
+    ports[i] = ports[--inline_ports];
+    if (!spilled_ports.empty()) {
+      ports[inline_ports++] = spilled_ports.back();
+      spilled_ports.pop_back();
+    }
+    return;
+  }
+  std::erase(spilled_ports, port);
+}
+
+void RemoteGuardNode::forget_nat_port(tcp::ConnId conn, std::uint16_t port) {
+  if (ProxyConn* pc = proxy_conns_.find(conn, now())) pc->remove_port(port);
 }
 
 void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
-  auto ins = framers_.try_emplace(conn, now());
+  auto ins = proxy_conns_.try_emplace(conn, now());
   if (ins.value == nullptr) {
     // Refused insert (only possible if eviction were disabled): reset the
     // connection instead of carrying unframeable stream state.
@@ -701,20 +740,21 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
     tcp_->abort(conn);
     return;
   }
-  for (Bytes& msg : ins.value->push(data)) {
-    auto query = dns::Message::decode(BytesView(msg));
-    if (!query || query->header.qr || query->question() == nullptr) {
+  for (Bytes& msg : ins.value->framer.push(data)) {
+    if (!dns::Message::decode_into(BytesView(msg), request_) ||
+        request_.header.qr || request_.question() == nullptr) {
       stats_.malformed++;
       drops_.count(obs::DropReason::kMalformed);
       continue;
     }
     auto remote = tcp_->remote_of(conn);
     if (!remote) continue;
-    if (sim().journeys().enabled() && query->question() != nullptr) {
+    const dns::Message& query = request_;
+    if (sim().journeys().enabled()) {
       // Merge the TCP-handshake journey (keyed by the client endpoint)
       // with the DNS query it carried.
-      cur_jkey_ = {remote->ip.value(), query->header.id,
-                   query->question()->qname.hash32()};
+      cur_jkey_ = {remote->ip.value(), query.header.id,
+                   query.question()->qname.hash32()};
       cur_jkey_valid_ = true;
       sim().journeys().alias({remote->ip.value(), remote->port, 0},
                              cur_jkey_);
@@ -745,7 +785,7 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
         sh.next_nat_port = sh.nat_port_base;
       }
       auto r = sh.nat.try_emplace(candidate, now(),
-                                  NatEntry{conn, query->header.id});
+                                  NatEntry{conn, query.header.id});
       if (r.inserted) {
         port = candidate;
         break;
@@ -756,12 +796,15 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
       drops_.count(obs::DropReason::kStateTableFull);
       continue;
     }
+    // Looked up again: the inserts above may have evicted entries and
+    // closed connections, so an earlier record pointer can be stale.
+    if (ProxyConn* pc = proxy_conns_.find(conn, now())) pc->add_port(*port);
     charge(config_.costs.transform);
     stats_.forwarded_to_ans++;
     emit_direct(ans_, net::Packet::make_udp(
                           {config_.guard_address, *port},
                           {config_.ans_address, net::kDnsPort},
-                          query->encode_pooled()));
+                          query.encode_pooled()));
   }
 }
 
@@ -783,6 +826,7 @@ void RemoteGuardNode::handle_proxy_nat_response(const net::Packet& packet) {
     }
   }
   cur_shard_->nat.erase(port);
+  forget_nat_port(entry.conn, port);
   charge(config_.costs.transform);
   stats_.responses_relayed++;
   tcp_->send_data(entry.conn,
@@ -796,25 +840,26 @@ void RemoteGuardNode::handle_ans_response(const net::Packet& packet) {
   // Amortized reaping of expired rewrite state.
   cur_shard_->pending.reap(now(), 16);
 
-  auto m = dns::Message::decode(BytesView(packet.payload));
-  if (!m || !m->header.qr) {
+  if (!dns::Message::decode_into(BytesView(packet.payload), ans_reply_) ||
+      !ans_reply_.header.qr) {
     // Not a DNS response we can interpret; pass through untouched.
-    emit(packet);
+    emit_copy(packet, packet.src_ip);
     return;
   }
+  const dns::Message& m = ans_reply_;
 
-  if (sim().journeys().enabled() && m->question() != nullptr) {
-    cur_jkey_ = {packet.dst_ip.value(), m->header.id,
-                 m->question()->qname.hash32()};
+  if (sim().journeys().enabled() && m.question() != nullptr) {
+    cur_jkey_ = {packet.dst_ip.value(), m.header.id,
+                 m.question()->qname.hash32()};
     cur_jkey_valid_ = true;
     jmark("guard.relay");
   }
 
-  const PendingKey pkey{m->header.id, packet.dst_ip.value()};
+  const PendingKey pkey{m.header.id, packet.dst_ip.value()};
   PendingAction* found = cur_shard_->pending.find(pkey, now());
   if (found == nullptr) {
     stats_.responses_relayed++;
-    emit(packet);
+    emit_copy(packet, packet.src_ip);
     return;
   }
   PendingAction action = std::move(*found);
@@ -824,33 +869,28 @@ void RemoteGuardNode::handle_ans_response(const net::Packet& packet) {
     case PendingAction::Kind::RestoreNsName: {
       // msg 5 -> msg 6: return the next-level servers' addresses as the
       // fabricated name's A records (Fig. 2(a)).
-      std::vector<dns::ResourceRecord> addresses;
-      for (const auto* section : {&m->answers, &m->additional}) {
+      out_.clear();
+      out_.header.id = m.header.id;
+      out_.header.qr = true;
+      out_.header.aa = true;
+      out_.questions.push_back(dns::Question{action.fabricated_qname,
+                                             action.original_qtype,
+                                             dns::RrClass::IN});
+      for (const auto* section : {&m.answers, &m.additional}) {
         for (const auto& rr : *section) {
           if (rr.type == dns::RrType::A) {
-            addresses.push_back(dns::ResourceRecord::a(
+            out_.answers.push_back(dns::ResourceRecord::a(
                 action.fabricated_qname,
                 std::get<dns::ARdata>(rr.rdata).address, rr.ttl));
           }
         }
       }
-      dns::Message resp;
-      resp.header.id = m->header.id;
-      resp.header.qr = true;
-      resp.header.aa = true;
-      resp.questions.push_back(dns::Question{action.fabricated_qname,
-                                             action.original_qtype,
-                                             dns::RrClass::IN});
-      if (addresses.empty()) {
-        resp.header.rcode = dns::Rcode::ServFail;
-      } else {
-        resp.answers = std::move(addresses);
-      }
+      if (out_.answers.empty()) out_.header.rcode = dns::Rcode::ServFail;
       charge(config_.costs.transform);
       trace(obs::TraceEvent::kRewrite, packet);
       stats_.responses_relayed++;
       emit(net::Packet::make_udp({config_.ans_address, net::kDnsPort},
-                                 packet.dst(), resp.encode_pooled()));
+                                 packet.dst(), out_.encode_pooled()));
       return;
     }
     case PendingAction::Kind::RelaySourceIp: {
@@ -859,9 +899,7 @@ void RemoteGuardNode::handle_ans_response(const net::Packet& packet) {
       charge(config_.costs.transform);
       trace(obs::TraceEvent::kRewrite, packet);
       stats_.responses_relayed++;
-      net::Packet out = packet;
-      out.src_ip = action.reply_src;
-      emit(std::move(out));
+      emit_copy(packet, action.reply_src);
       return;
     }
   }

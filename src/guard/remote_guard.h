@@ -267,22 +267,23 @@ class RemoteGuardNode : public sim::Node {
   };
 
   // --- packet paths ---
-  void handle_request(const net::Packet& packet, const dns::Message& query);
+  // The request handlers may rewrite `query` in place (it is request_).
+  void handle_request(const net::Packet& packet, dns::Message& query);
   void handle_ans_response(const net::Packet& packet);
   void handle_proxy_nat_response(const net::Packet& packet);
 
   // --- scheme handlers (charge their own costs via charge()) ---
-  void do_modified_dns(const net::Packet& packet, const dns::Message& query,
+  void do_modified_dns(const net::Packet& packet, dns::Message& query,
                        const crypto::Cookie& cookie);
-  void do_ns_name(const net::Packet& packet, const dns::Message& query);
+  void do_ns_name(const net::Packet& packet, dns::Message& query);
   void do_fabricated_ns_ip(const net::Packet& packet,
                            const dns::Message& query, bool to_subnet);
   void do_tcp_redirect(const net::Packet& packet, const dns::Message& query);
 
   Scheme effective_scheme(net::Ipv4Address src) const;
 
-  void forward_to_ans(const net::Packet& original, dns::Message query);
-  void reply(const net::Packet& to, dns::Message response,
+  void forward_to_ans(const net::Packet& original, const dns::Message& query);
+  void reply(const net::Packet& to, const dns::Message& response,
              std::optional<net::Ipv4Address> src_override = std::nullopt);
   void drop_spoof(const net::Packet& packet, Scheme scheme,
                   obs::DropReason reason);
@@ -303,6 +304,8 @@ class RemoteGuardNode : public sim::Node {
   }
   void charge(SimDuration d) { cost_ = cost_ + d; }
   void emit(net::Packet p);
+  /// Emits a copy of `packet` with its source address set to `src`.
+  void emit_copy(const net::Packet& packet, net::Ipv4Address src);
   void emit_direct(sim::Node* to, net::Packet p);
 
   // --- query journeys ---
@@ -321,6 +324,31 @@ class RemoteGuardNode : public sim::Node {
     tcp::ConnId conn;
     std::uint16_t query_id;
   };
+
+  /// One proxied TCP connection: its DNS framing buffer and the NAT ports
+  /// of its queries still awaiting the ANS. Every NAT erase (reply, TTL or
+  /// capacity eviction) drops the port here too, so closing the connection
+  /// erases exactly its own entries.
+  struct ProxyConn {
+    tcp::StreamFramer framer;
+    /// One query per connection is the norm; only pipelined queries spill.
+    static constexpr std::size_t kInlinePorts = 3;
+    std::array<std::uint16_t, kInlinePorts> ports{};
+    std::uint8_t inline_ports = 0;
+    std::vector<std::uint16_t> spilled_ports;
+
+    void add_port(std::uint16_t port);
+    void remove_port(std::uint16_t port);
+    template <typename Fn>
+    void for_each_port(Fn&& fn) const {
+      for (std::size_t i = 0; i < inline_ports; ++i) fn(ports[i]);
+      for (std::uint16_t port : spilled_ports) fn(port);
+    }
+  };
+  /// Drops `port` from `conn`'s record after its NAT entry left the table.
+  void forget_nat_port(tcp::ConnId conn, std::uint16_t port);
+  /// The shard whose disjoint NAT port range holds `port`.
+  [[nodiscard]] std::size_t shard_of_nat_port(std::uint16_t port) const;
 
   /// One shard owns every piece of per-source state for its slice of the
   /// address space: RL1/RL2 buckets, pending rewrites, NAT entries (with a
@@ -362,13 +390,22 @@ class RemoteGuardNode : public sim::Node {
   std::size_t nat_ports_per_shard_ = 0;
 
   std::unique_ptr<tcp::TcpStack> tcp_;
-  /// Per-connection DNS framing buffers. Connections are attacker-opened,
-  /// so this table is capped at proxy_max_connections like the TCP stack's
-  /// own connection table it shadows.
+  /// Per-connection proxy records (framing buffer + live NAT ports).
+  /// Connections are attacker-opened, so this table is capped at
+  /// proxy_max_connections like the TCP stack's own connection table it
+  /// shadows.
   // DNSGUARD_LINT_ALLOW(shardsafe): deliberately shared across shards —
   // the TCP stack itself is one shared instance and connections are keyed
   // by ConnId, not by the per-source address hash that defines shards.
-  common::BoundedTable<tcp::ConnId, tcp::StreamFramer> framers_;
+  common::BoundedTable<tcp::ConnId, ProxyConn> proxy_conns_;
+
+  // Scratch messages reused across packets so the UDP path never
+  // allocates: the decoded request (rewritten in place before it is
+  // forwarded), the decoded ANS response, and the message being built for
+  // the requester.
+  dns::Message request_;
+  dns::Message ans_reply_;
+  dns::Message out_;
 
   GuardStats stats_;
   std::array<SchemeCounters, kSchemeCount> scheme_counters_;

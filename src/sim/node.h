@@ -150,6 +150,8 @@ class Node {
   std::uint64_t sim_id_ = 0;
   std::string name_;
   std::vector<PendingSend> outbox_;
+  /// Emptied outboxes returned by completed flushes, capacity intact.
+  std::vector<std::vector<PendingSend>> spare_outboxes_;
   bool in_process_ = false;
   std::vector<ShardLane> lanes_;
   std::size_t lane_capacity_ = 0;

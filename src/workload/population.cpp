@@ -368,7 +368,10 @@ void ClientPopulationNode::pump() {
 }
 
 dns::DomainName ClientPopulationNode::qname_for(std::uint32_t rank) const {
-  std::string text = "q" + std::to_string(rank) + "." + config_.qname_suffix;
+  std::string text = "q";
+  text += std::to_string(rank);
+  text += '.';
+  text += config_.qname_suffix;
   return dns::DomainName::parse(text).value_or(dns::DomainName{});
 }
 

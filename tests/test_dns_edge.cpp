@@ -110,7 +110,8 @@ TEST(MessageEdge, ManyRecordsRoundTrip) {
   m.header.qr = true;
   for (int i = 0; i < 200; ++i) {
     m.answers.push_back(ResourceRecord::a(
-        *DomainName::parse("n" + std::to_string(i) + ".example"),
+        *DomainName::parse(std::string("n").append(std::to_string(i)) +
+                           ".example"),
         net::Ipv4Address(static_cast<std::uint32_t>(i)), 60));
   }
   auto d = Message::decode(BytesView(m.encode()));

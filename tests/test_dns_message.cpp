@@ -27,6 +27,65 @@ TEST(Message, QueryRoundTrip) {
   EXPECT_EQ(d, q);
 }
 
+DomainName name_of(std::string_view text) { return *DomainName::parse(text); }
+
+TEST(Message, DecodeIntoReusedMessageEqualsFreshDecode) {
+  // A message that held a larger one (more records, a TXT, an SOA) must
+  // decode the next one exactly as a fresh Message would.
+  Message big;
+  big.header.id = 1;
+  big.header.qr = true;
+  big.questions.push_back(Question{name_of("big.example.com"), RrType::SOA});
+  const net::Ipv4Address addr(10, 0, 0, 1);
+  for (char c = 'a'; c < 'g'; ++c) {
+    const DomainName host = name_of(std::string(1, c) + ".example.com");
+    big.answers.push_back(ResourceRecord::a(host, addr, 60));
+  }
+  SoaRdata soa;
+  soa.mname = name_of("ns.example.com");
+  soa.rname = name_of("admin.example.com");
+  soa.serial = 7;
+  big.authority.push_back(ResourceRecord::soa(name_of("example.com"), soa, 60));
+  const Bytes cookie(16, 0xab);
+  big.additional.push_back(
+      ResourceRecord::txt(DomainName{}, TxtRdata::single(cookie), 0));
+
+  Message small = Message::query(7, name_of("www.foo.com"), RrType::A, true);
+  Message referral = Message::response_to(small);
+  referral.authority.push_back(
+      ResourceRecord::ns(name_of("com"), name_of("a.gtld.net"), 60));
+
+  const Bytes big_wire = big.encode();
+  Message reused;
+  ASSERT_TRUE(Message::decode_into(BytesView(big_wire), reused));
+  ASSERT_EQ(reused, big);
+  for (const Message* next : {&small, &referral, &big}) {
+    const Bytes wire = next->encode();
+    ASSERT_TRUE(Message::decode_into(BytesView(wire), reused));
+    EXPECT_EQ(reused, *Message::decode(BytesView(wire)));
+    EXPECT_EQ(reused, *next);
+  }
+
+  // A failed decode leaves partial contents; the next decode is still
+  // exact.
+  Bytes truncated = big_wire;
+  truncated.resize(truncated.size() / 2);
+  EXPECT_FALSE(Message::decode_into(BytesView(truncated), reused));
+  const Bytes wire = referral.encode();
+  ASSERT_TRUE(Message::decode_into(BytesView(wire), reused));
+  EXPECT_EQ(reused, referral);
+}
+
+TEST(Message, ResetResponseToMatchesResponseTo) {
+  Message query = Message::query(9, name_of("www.foo.com"), RrType::AAAA, true);
+  Message out;
+  out.header.tc = true;
+  const net::Ipv4Address addr(1, 2, 3, 4);
+  out.answers.push_back(ResourceRecord::a(name_of("x.y"), addr, 1));
+  out.reset_response_to(query);
+  EXPECT_EQ(out, Message::response_to(query));
+}
+
 TEST(Message, HeaderFlagsRoundTrip) {
   Message m;
   m.header.id = 77;

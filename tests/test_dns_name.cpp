@@ -1,6 +1,12 @@
 // Domain name parsing, limits, relations and wire codec incl. compression.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.h"
 #include "dns/name.h"
 
 namespace dnsguard::dns {
@@ -155,6 +161,144 @@ TEST(NameWire, OversizeAssembledNameRejected) {
   w.u8(0);
   Cursor r(w.view());
   EXPECT_FALSE(read_name(r).has_value());
+}
+
+TEST(DomainName, GoldenHash32) {
+  // Journeys are keyed on hash32(); these values must never change.
+  EXPECT_EQ(DomainName{}.hash32(), 0x811c9dc5u);
+  EXPECT_EQ(DomainName::parse("com")->hash32(), 0x35b6be4bu);
+  EXPECT_EQ(DomainName::parse("www.example.com")->hash32(), 0x0e191bcau);
+  EXPECT_EQ(DomainName::parse("WWW.Example.COM")->hash32(), 0x0e191bcau);
+  EXPECT_EQ(DomainName::parse("ab.c")->hash32(), 0x2b522176u);
+  EXPECT_EQ(DomainName::parse("a.bc")->hash32(), 0x00498c1cu);
+  EXPECT_EQ(DomainName::parse("PRa1b2c3d4com")->hash32(), 0x14daf82fu);
+  EXPECT_EQ(DomainName::parse("_sip._tcp.example.org")->hash32(), 0x414a9c24u);
+}
+
+TEST(DomainName, AppendJoinsLabelsWithinLimits) {
+  auto www = *DomainName::parse("www");
+  auto joined = www.append(*DomainName::parse("foo.com"));
+  ASSERT_TRUE(joined.has_value());
+  EXPECT_EQ(joined->to_string(), "www.foo.com.");
+  EXPECT_EQ(joined->label_count(), 3u);
+  EXPECT_TRUE(joined->valid());
+  EXPECT_EQ(www.append(DomainName{})->to_string(), "www.");
+  // 4 labels of 63 bytes = 256 label bytes: one past the 254 a name holds.
+  auto half = *DomainName::parse(std::string(63, 'a') + "." +
+                                 std::string(63, 'b'));
+  EXPECT_FALSE(half.append(half).has_value());
+}
+
+TEST(NameWire, DottedLabelDoesNotAliasSeparateLabels) {
+  // One label "a.b" under "com" and the three labels a, b, com spell the
+  // same dotted text. Compression must tell them apart: a pointer from
+  // one to the other would change the second name's label structure.
+  const Bytes wire{3, 'a', '.', 'b', 3, 'c', 'o', 'm', 0};
+  Cursor in{BytesView(wire)};
+  auto dotted = read_name(in);
+  ASSERT_TRUE(dotted.has_value());
+  ASSERT_EQ(dotted->label_count(), 2u);
+  auto plain = *DomainName::parse("a.b.com");
+
+  ByteWriter w;
+  NameCompressor compressor;
+  compressor.write(w, *dotted);
+  compressor.write(w, plain);
+  Cursor r(w.view());
+  auto d1 = read_name(r);
+  auto d2 = read_name(r);
+  ASSERT_TRUE(d1.has_value());
+  ASSERT_TRUE(d2.has_value());
+  EXPECT_EQ(d1->label_count(), 2u);
+  EXPECT_EQ(d2->label_count(), 3u);
+  EXPECT_EQ(*d1, *dotted);
+  EXPECT_EQ(*d2, plain);
+}
+
+// The compressor before names went wire-form: suffixes keyed by their
+// lowercased, dot-joined text in a hash map. Kept as the reference the
+// byte-matching compressor must agree with on names without dotted labels.
+class ReferenceCompressor {
+ public:
+  void write(ByteWriter& w, const DomainName& name) {
+    const std::vector<std::string> labels = labels_of(name);
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      std::string key;
+      for (std::size_t j = i; j < labels.size(); ++j) {
+        for (char c : labels[j]) {
+          const auto u = static_cast<unsigned char>(c);
+          key.push_back(static_cast<char>(std::tolower(u)));
+        }
+        key.push_back('.');
+      }
+      auto it = offsets_.find(key);
+      if (it != offsets_.end() && it->second <= 0x3fff) {
+        w.u16(static_cast<std::uint16_t>(0xc000 | it->second));
+        return;
+      }
+      if (w.size() <= 0x3fff) offsets_.emplace(std::move(key), w.size());
+      w.u8(static_cast<std::uint8_t>(labels[i].size()));
+      w.raw(labels[i]);
+    }
+    w.u8(0);
+  }
+
+ private:
+  static std::vector<std::string> labels_of(const DomainName& name) {
+    std::vector<std::string> labels;
+    const std::string_view wire = name.wire();
+    for (std::size_t off = 0; off < wire.size();) {
+      const std::size_t len = static_cast<std::uint8_t>(wire[off]);
+      labels.emplace_back(wire.substr(off + 1, len));
+      off += 1 + len;
+    }
+    return labels;
+  }
+
+  std::unordered_map<std::string, std::size_t> offsets_;
+};
+
+TEST(NameWire, CompressorMatchesReferenceOnSeededMessages) {
+  Rng rng(20240617);
+  const std::vector<std::string> pool = {"com", "net", "Example", "EXAMPLE",
+                                         "www", "WWW", "mail", "a", "b",
+                                         "xn--bcher-kva", "PRa1b2c3d4com"};
+  auto random_name = [&] {
+    std::string text;
+    const std::size_t labels = 1 + rng.bounded(5);
+    for (std::size_t i = 0; i < labels; ++i) {
+      if (rng.chance(0.2)) {
+        // A fresh label: forces new suffix entries past the inline ones.
+        text += 'u';
+        text += std::to_string(rng.bounded(100000));
+      } else {
+        text += pool[rng.bounded(pool.size())];
+      }
+      text += '.';
+    }
+    return *DomainName::parse(text);
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    // Some messages start just below the 14-bit pointer limit, so offsets
+    // straddle 0x3fff: suffixes written past it are not remembered.
+    const std::size_t prefix =
+        trial % 4 == 0 ? 0x3fff - rng.bounded(300) : rng.bounded(64);
+    ByteWriter got;
+    ByteWriter want;
+    for (std::size_t i = 0; i < prefix; ++i) {
+      got.u8(0xee);
+      want.u8(0xee);
+    }
+    NameCompressor compressor;
+    ReferenceCompressor reference;
+    const std::size_t names = 1 + rng.bounded(trial % 10 == 0 ? 120 : 12);
+    for (std::size_t i = 0; i < names; ++i) {
+      const DomainName n = random_name();
+      compressor.write(got, n);
+      reference.write(want, n);
+    }
+    ASSERT_EQ(got.bytes(), want.bytes()) << "trial " << trial;
+  }
 }
 
 // Property: parse -> wire -> parse is identity for many realistic names.

@@ -60,7 +60,7 @@ TEST_P(LossSweep, ResolverRecoversThroughRetransmission) {
   const int kLookups = 20;
   for (int i = 0; i < kLookups; ++i) {
     // Distinct names so every lookup exercises the wire, not the cache.
-    std::string name = "h" + std::to_string(i) + ".foo.com";
+    std::string name = std::string("h").append(std::to_string(i)) + ".foo.com";
     auto qname = dns::DomainName::parse(name);
     // Names are not in the zone: NXDOMAIN is still a *successful*
     // resolution for this purpose (the full path was walked).
@@ -89,7 +89,7 @@ TEST(LossInjection, ConservationIncludesLossDrops) {
   bed.sim.set_loss_rate(0.1);
   for (int i = 0; i < 30; ++i) {
     // Distinct names: every lookup hits the wire (~3 exchanges each).
-    std::string name = "c" + std::to_string(i) + ".foo.com";
+    std::string name = std::string("c").append(std::to_string(i)) + ".foo.com";
     bed.lrs->resolve(*dns::DomainName::parse(name), dns::RrType::A,
                      [](const auto&) {});
     bed.sim.run_for(seconds(1));

@@ -4,13 +4,17 @@
 // activation threshold (§IV.C) and both rate limiters in situ.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <type_traits>
+#include <unordered_map>
 
 #include "attack/attackers.h"
 #include "guard/remote_guard.h"
 #include "server/authoritative_node.h"
 #include "sim/simulator.h"
+#include "tcp/tcp_stack.h"
 #include "workload/lrs_driver.h"
 
 namespace dnsguard {
@@ -349,6 +353,175 @@ TEST(TcpScheme, NatTableCapacityRecyclesLruNotUnbounded) {
                 obs::DropReason::kStateTableFull),
             4u);
   EXPECT_LE(bed.guard->nat_table_stats().occupancy.max(), 4);
+}
+
+/// A TCP client whose connections each send a fixed number of pipelined
+/// DNS queries as soon as they are established, then wait: with a
+/// blackhole ANS every query keeps its guard NAT entry. It closes its side
+/// as soon as the guard closes a connection.
+class PipeliningClient : public sim::Node {
+ public:
+  PipeliningClient(sim::Simulator& s, Ipv4Address ip)
+      : sim::Node(s, "client"), ip_(ip) {
+    s.add_host_route(ip, this);
+    tcp_ = std::make_unique<tcp::TcpStack>(
+        [this](net::Packet p) { send(std::move(p)); },
+        [this] { return now(); },
+        tcp::TcpStack::Callbacks{
+            .on_established =
+                [this](tcp::ConnId id) {
+                  tcp_->send_data(id, BytesView(queries_[id]));
+                },
+            .on_closed = [this](tcp::ConnId) { ++closed; },
+        },
+        tcp::TcpStack::Options{});
+  }
+
+  /// Opens a connection from `port` carrying `queries` framed queries.
+  void open(std::uint16_t port, int queries) {
+    const dns::DomainName qname = *dns::DomainName::parse("www.example.com");
+    Bytes stream;
+    for (int q = 0; q < queries; ++q) {
+      const dns::Message m = dns::Message::query(
+          static_cast<std::uint16_t>(port + q), qname, dns::RrType::A, false);
+      const Bytes framed = tcp::StreamFramer::frame(BytesView(m.encode()));
+      stream.insert(stream.end(), framed.begin(), framed.end());
+    }
+    const tcp::ConnId id = tcp_->connect({ip_, port}, {kAnsIp, net::kDnsPort});
+    queries_[id] = std::move(stream);
+    conns_[port] = id;
+  }
+
+  /// The RST a client sends to abandon its connection from `port`.
+  [[nodiscard]] net::Packet reset(std::uint16_t port) const {
+    return net::Packet::make_tcp({ip_, port}, {kAnsIp, net::kDnsPort},
+                                 net::TcpFlags{.rst = true}, 0, 0);
+  }
+
+  std::uint64_t closed = 0;
+
+ protected:
+  SimDuration process(const net::Packet& packet) override {
+    tcp_->handle_packet(packet);
+    if (packet.tcp().flags.fin) tcp_->close(conns_[packet.tcp().dst_port]);
+    return {};
+  }
+
+ private:
+  Ipv4Address ip_;
+  std::unordered_map<tcp::ConnId, Bytes> queries_;
+  std::unordered_map<std::uint16_t, tcp::ConnId> conns_;
+  std::unique_ptr<tcp::TcpStack> tcp_;
+};
+
+/// Lifts the per-client limits so one client address can hold many
+/// concurrent pipelining connections.
+void allow_connection_crowd(RemoteGuardNode::Config& gc) {
+  gc.proxy_conn_rate = 1e9;
+  gc.proxy_conn_burst = 1e9;
+  gc.rl2.per_host_rate = 1e9;
+  gc.rl2.per_host_burst = 1e9;
+  gc.proxy_max_connections = 1u << 16;
+  gc.nat_table_capacity = 1u << 16;
+}
+
+struct ProxyBed : NatBed {
+  ProxyBed() : NatBed(allow_connection_crowd) {}
+  PipeliningClient client{sim, Ipv4Address(10, 0, 2, 1)};
+};
+
+TEST(TcpScheme, ClosingAConnectionErasesEveryPipelinedNatEntry) {
+  ProxyBed bed;
+  bed.client.open(4000, 5);  // more queries than a record keeps inline
+  bed.client.open(4001, 1);
+  bed.sim.run_for(milliseconds(10));
+  ASSERT_EQ(bed.guard->nat_entries(), 6u);
+
+  bed.guard->deliver(bed.client.reset(4000));
+  bed.sim.run_for(milliseconds(10));
+  EXPECT_EQ(bed.guard->nat_entries(), 1u)
+      << "the reset connection's five entries go; the other's stays";
+  EXPECT_EQ(bed.guard->proxy_connections(), 1u);
+
+  bed.guard->deliver(bed.client.reset(4001));
+  bed.sim.run_for(milliseconds(10));
+  EXPECT_EQ(bed.guard->nat_entries(), 0u);
+  EXPECT_EQ(bed.guard->proxy_connections(), 0u);
+}
+
+TEST(TcpScheme, ExpiredAndEvictedNatEntriesStillCloseTheirConnection) {
+  // TTL expiry and capacity eviction leave the table through the eviction
+  // callback, not a close: each must still close its own connection with
+  // its drop reason, and the connection's other entry must go with it.
+  NatBed bed([](RemoteGuardNode::Config& gc) {
+    gc.proxy_conn_rate = 1e9;
+    gc.proxy_conn_burst = 1e9;
+    gc.nat_ttl = milliseconds(50);
+    gc.nat_table_capacity = 4;
+  });
+  PipeliningClient client(bed.sim, Ipv4Address(10, 0, 2, 1));
+  client.open(5000, 2);
+  bed.sim.run_for(milliseconds(60));  // both entries now past their TTL
+  ASSERT_EQ(bed.guard->nat_entries(), 2u);
+  ASSERT_EQ(bed.guard->proxy_connections(), 1u);
+
+  // New proxy activity reaps the stale pair: one connection closed, both
+  // entries gone, kProxyTimeout charged.
+  client.open(5001, 4);
+  bed.sim.run_for(milliseconds(10));
+  EXPECT_EQ(bed.guard->drop_counters().value(obs::DropReason::kProxyTimeout),
+            2u);
+  EXPECT_EQ(bed.guard->nat_entries(), 4u);
+  EXPECT_EQ(client.closed, 1u) << "the expired connection was closed";
+
+  // The table is full of 5001's entries: a new query recycles the oldest
+  // one, closing 5001 (and erasing its other three entries).
+  client.open(5002, 1);
+  bed.sim.run_for(milliseconds(10));
+  EXPECT_EQ(bed.guard->drop_counters().value(
+                obs::DropReason::kStateTableFull),
+            1u);
+  EXPECT_EQ(client.closed, 2u) << "the evicted connection was closed";
+  EXPECT_EQ(bed.guard->nat_entries(), 1u);
+  EXPECT_EQ(bed.guard->proxy_connections(), 1u);
+}
+
+/// Median host time to close one proxied connection while `others`
+/// other connections each hold a live NAT entry.
+double median_close_ns(int others) {
+  ProxyBed bed;
+  constexpr int kCloses = 9;
+  for (int i = 0; i < others + kCloses; ++i) {
+    bed.client.open(static_cast<std::uint16_t>(1024 + i), 1);
+  }
+  // The guard serves the handshakes one at a time (~12 us of modeled CPU
+  // each), so 2^14 connections take a few hundred simulated ms.
+  bed.sim.run_for(seconds(2));
+  EXPECT_EQ(bed.guard->nat_entries(),
+            static_cast<std::size_t>(others + kCloses));
+  std::vector<double> ns;
+  for (int i = 0; i < kCloses; ++i) {
+    const auto port = static_cast<std::uint16_t>(1024 + others + i);
+    net::Packet rst = bed.client.reset(port);
+    const auto t0 = std::chrono::steady_clock::now();
+    bed.guard->deliver(std::move(rst));
+    bed.sim.run_for(milliseconds(1));
+    const auto t1 = std::chrono::steady_clock::now();
+    ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count());
+  }
+  EXPECT_EQ(bed.guard->nat_entries(), static_cast<std::size_t>(others));
+  std::nth_element(ns.begin(), ns.begin() + kCloses / 2, ns.end());
+  return ns[kCloses / 2];
+}
+
+TEST(TcpScheme, ConnectionCloseCostDoesNotGrowWithNatOccupancy) {
+  // Closing a connection erases its own NAT entries by port; it used to
+  // sweep every slot of every shard's NAT table.
+  const double small = median_close_ns(1 << 10);
+  const double large = median_close_ns(1 << 14);
+  EXPECT_LT(large, 4.0 * small)
+      << "close with 2^10 entries: " << small << " ns, with 2^14: " << large
+      << " ns";
 }
 
 TEST(ModifiedScheme, CookieExchangeThenQuery) {
