@@ -129,20 +129,8 @@ class RotatingKeys {
 
   /// Verifies only the first 4 bytes (for NS-name / IP encodings, which
   /// truncate the cookie). The generation bit is part of those 4 bytes.
-  [[nodiscard]] bool verify_prefix32(std::uint32_t ip,
-                                     std::uint32_t presented_prefix) const {
-    return verify_prefix32_ex(ip, presented_prefix).ok;
-  }
   [[nodiscard]] VerifyResult verify_prefix32_ex(
       std::uint32_t ip, std::uint32_t presented_prefix) const;
-
-  /// Batched prefix verification for the shard hot path: verifies n
-  /// (ip, presented_prefix) pairs in one call. Equivalent to calling
-  /// verify_prefix32_ex per item; the batch form keeps the pre-keyed MD5
-  /// midstates hot in cache across items.
-  void verify_prefix32_batch(const std::uint32_t* ips,
-                             const std::uint32_t* presented_prefixes,
-                             VerifyResult* out, std::size_t n) const;
 
   [[nodiscard]] std::uint32_t generation() const { return generation_; }
 

@@ -91,7 +91,7 @@ crypto::VerifyResult CookieEngine::verify_cookie_address_ex(
   std::uint32_t offset = dst.value() - subnet_base.value() - 1;
   if (offset >= divisor) return {false, false, false};
   // Both current and previous key generation must be checked, mirroring
-  // verify_prefix semantics: recompute under the generation the requester
+  // verify_prefix_ex semantics: recompute under the generation the requester
   // might hold. The IP encoding carries no generation bit (mod R_y folds
   // it away), so try both; otherwise a weekly rotation would silently
   // drop every legitimate follow-up query holding a pre-rotation address.

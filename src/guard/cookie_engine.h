@@ -42,11 +42,6 @@ class CookieEngine {
     return keys_.mint(requester.value());
   }
 
-  [[nodiscard]] bool verify(net::Ipv4Address requester,
-                            const crypto::Cookie& presented) const {
-    return keys_.verify(requester.value(), presented);
-  }
-
   /// Generation-aware verification (observability: verify counts per key
   /// generation; failures that match the *retired* generation classify as
   /// stale — see crypto::VerifyResult).
@@ -100,10 +95,6 @@ class CookieEngine {
       std::string_view label);
 
   /// Verifies the 4-byte prefix from an NS-name cookie label.
-  [[nodiscard]] bool verify_prefix(net::Ipv4Address requester,
-                                   std::uint32_t presented_prefix) const {
-    return keys_.verify_prefix32(requester.value(), presented_prefix);
-  }
   [[nodiscard]] crypto::VerifyResult verify_prefix_ex(
       net::Ipv4Address requester, std::uint32_t presented_prefix) const {
     DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardVerify);
@@ -119,18 +110,11 @@ class CookieEngine {
       std::uint32_t r_y) const;
 
   /// Verifies that `dst` (the queried address) is the right cookie address
-  /// for `requester`.
-  [[nodiscard]] bool verify_cookie_address(net::Ipv4Address requester,
-                                           net::Ipv4Address dst,
-                                           net::Ipv4Address subnet_base,
-                                           std::uint32_t r_y) const {
-    return verify_cookie_address_ex(requester, dst, subnet_base, r_y).ok;
-  }
-  /// The IP encoding folds the generation bit away (mod R_y), so the
-  /// verifier tries both keys; `used_previous` reports a match under the
-  /// pre-rotation key. On failure, `stale` reports a match under the
-  /// *retired* key (two rotations back): a real-but-outdated client, to
-  /// be charged as kStaleKey rather than kBadCookie.
+  /// for `requester`. The IP encoding folds the generation bit away
+  /// (mod R_y), so the verifier tries both keys; `used_previous` reports a
+  /// match under the pre-rotation key. On failure, `stale` reports a match
+  /// under the *retired* key (two rotations back): a real-but-outdated
+  /// client, to be charged as kStaleKey rather than kBadCookie.
   [[nodiscard]] crypto::VerifyResult verify_cookie_address_ex(
       net::Ipv4Address requester, net::Ipv4Address dst,
       net::Ipv4Address subnet_base, std::uint32_t r_y) const;

@@ -765,6 +765,7 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
     if (!cur_shard_->rl2.allow(remote->ip, now())) {
       stats_.rl2_throttled++;
       drops_.count(obs::DropReason::kRateLimited2);
+      jend("guard.drop", /*ok=*/false);
       continue;
     }
     stats_.proxy_queries++;
@@ -794,6 +795,7 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
     }
     if (!port) {
       drops_.count(obs::DropReason::kStateTableFull);
+      jend("guard.drop", /*ok=*/false);
       continue;
     }
     // Looked up again: the inserts above may have evicted entries and

@@ -28,10 +28,10 @@ TEST(CookieLabel, ParsesBack) {
   auto parsed = CookieEngine::parse_cookie_label(*label);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->restore_label, "foo");
-  EXPECT_TRUE(e.verify_prefix(Ipv4Address(10, 0, 1, 1),
-                              parsed->cookie_prefix));
-  EXPECT_FALSE(e.verify_prefix(Ipv4Address(10, 0, 1, 2),
-                               parsed->cookie_prefix));
+  EXPECT_TRUE(
+      e.verify_prefix_ex(Ipv4Address(10, 0, 1, 1), parsed->cookie_prefix).ok);
+  EXPECT_FALSE(
+      e.verify_prefix_ex(Ipv4Address(10, 0, 1, 2), parsed->cookie_prefix).ok);
 }
 
 TEST(CookieLabel, ParseRejectsNonCookieLabels) {
@@ -70,7 +70,7 @@ TEST(CookieAddress, InRangeAndVerifiable) {
     Ipv4Address c2 = e.make_cookie_address(requester, base, 250);
     EXPECT_GT(c2.value(), base.value());
     EXPECT_LE(c2.value(), base.value() + 250);
-    EXPECT_TRUE(e.verify_cookie_address(requester, c2, base, 250));
+    EXPECT_TRUE(e.verify_cookie_address_ex(requester, c2, base, 250).ok);
   }
 }
 
@@ -81,11 +81,11 @@ TEST(CookieAddress, WrongAddressRejected) {
   Ipv4Address c2 = e.make_cookie_address(requester, base, 250);
   Ipv4Address wrong(c2.value() == base.value() + 1 ? base.value() + 2
                                                    : base.value() + 1);
-  EXPECT_FALSE(e.verify_cookie_address(requester, wrong, base, 250));
+  EXPECT_FALSE(e.verify_cookie_address_ex(requester, wrong, base, 250).ok);
   // Out-of-range offsets always fail.
-  EXPECT_FALSE(e.verify_cookie_address(requester, base, base, 250));
-  EXPECT_FALSE(e.verify_cookie_address(
-      requester, Ipv4Address(base.value() + 251), base, 250));
+  EXPECT_FALSE(e.verify_cookie_address_ex(requester, base, base, 250).ok);
+  Ipv4Address past_end(base.value() + 251);
+  EXPECT_FALSE(e.verify_cookie_address_ex(requester, past_end, base, 250).ok);
 }
 
 TEST(CookieAddress, GuessingSucceedsAtOneOverRy) {
@@ -98,8 +98,8 @@ TEST(CookieAddress, GuessingSucceedsAtOneOverRy) {
   for (int i = 0; i < requesters; ++i) {
     Ipv4Address victim(0x0a000000u + static_cast<std::uint32_t>(i));
     for (std::uint32_t y = 0; y < r_y; ++y) {
-      if (e.verify_cookie_address(victim, Ipv4Address(base.value() + 1 + y),
-                                  base, r_y)) {
+      Ipv4Address guess(base.value() + 1 + y);
+      if (e.verify_cookie_address_ex(victim, guess, base, r_y).ok) {
         hits++;
       }
     }
@@ -175,8 +175,8 @@ TEST(CookieLabel, ParsesExactly63ByteLabel) {
   auto parsed = CookieEngine::parse_cookie_label(*label);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->restore_label, restore);
-  EXPECT_TRUE(e.verify_prefix(Ipv4Address(1, 2, 3, 4),
-                              parsed->cookie_prefix));
+  EXPECT_TRUE(
+      e.verify_prefix_ex(Ipv4Address(1, 2, 3, 4), parsed->cookie_prefix).ok);
 }
 
 TEST(CookieLabel, ParseAcceptsUppercaseHex) {
@@ -214,13 +214,13 @@ TEST(Rotation, EngineAcceptsPreviousGeneration) {
   auto label = e.make_cookie_label(ip, "com");
   auto parsed = CookieEngine::parse_cookie_label(*label);
   e.rotate(12);
-  EXPECT_TRUE(e.verify_prefix(ip, parsed->cookie_prefix));
+  EXPECT_TRUE(e.verify_prefix_ex(ip, parsed->cookie_prefix).ok);
   e.rotate(13);
-  EXPECT_FALSE(e.verify_prefix(ip, parsed->cookie_prefix));
+  EXPECT_FALSE(e.verify_prefix_ex(ip, parsed->cookie_prefix).ok);
 }
 
 TEST(Rotation, CookieAddressSurvivesOneRotationButNotTwo) {
-  // Regression: verify_cookie_address only recomputed under the current
+  // Regression: the cookie-address verifier only recomputed under the current
   // key, so a weekly rotation dropped every legitimate LRS follow-up query
   // addressed to a pre-rotation cookie address as spoofed.
   CookieEngine e(11);
@@ -236,9 +236,8 @@ TEST(Rotation, CookieAddressSurvivesOneRotationButNotTwo) {
   e.rotate(12);
   int after_one = 0;
   for (int i = 0; i < n; ++i) {
-    if (e.verify_cookie_address(
-            Ipv4Address(0x0a000100u + static_cast<std::uint32_t>(i)),
-            addrs[i], base, r_y)) {
+    Ipv4Address requester(0x0a000100u + static_cast<std::uint32_t>(i));
+    if (e.verify_cookie_address_ex(requester, addrs[i], base, r_y).ok) {
       after_one++;
     }
   }
@@ -249,9 +248,8 @@ TEST(Rotation, CookieAddressSurvivesOneRotationButNotTwo) {
   e.rotate(13);
   int after_two = 0;
   for (int i = 0; i < n; ++i) {
-    if (e.verify_cookie_address(
-            Ipv4Address(0x0a000100u + static_cast<std::uint32_t>(i)),
-            addrs[i], base, r_y)) {
+    Ipv4Address requester(0x0a000100u + static_cast<std::uint32_t>(i));
+    if (e.verify_cookie_address_ex(requester, addrs[i], base, r_y).ok) {
       after_two++;
     }
   }
@@ -272,14 +270,14 @@ TEST(CookieAddress, DegenerateRyMintVerifySymmetry) {
       Ipv4Address requester(0x0a000200u + i);
       Ipv4Address c2 = fresh.make_cookie_address(requester, base, r_y);
       EXPECT_GT(c2.value(), base.value()) << "r_y=" << r_y;
-      EXPECT_TRUE(fresh.verify_cookie_address(requester, c2, base, r_y))
+      EXPECT_TRUE(fresh.verify_cookie_address_ex(requester, c2, base, r_y).ok)
           << "r_y=" << r_y << " i=" << i;
     }
     // Pre-rotation addresses still verify afterwards, same divisor math.
     Ipv4Address requester(10, 0, 3, 9);
     Ipv4Address c2 = fresh.make_cookie_address(requester, base, r_y);
     fresh.rotate(32);
-    EXPECT_TRUE(fresh.verify_cookie_address(requester, c2, base, r_y))
+    EXPECT_TRUE(fresh.verify_cookie_address_ex(requester, c2, base, r_y).ok)
         << "r_y=" << r_y;
   }
   // A subnet base near the top of the address space forces the cap even
@@ -288,7 +286,7 @@ TEST(CookieAddress, DegenerateRyMintVerifySymmetry) {
   Ipv4Address requester(10, 0, 4, 4);
   Ipv4Address c2 = e.make_cookie_address(requester, high_base, 250);
   EXPECT_GT(c2.value(), high_base.value()) << "mint must not wrap";
-  EXPECT_TRUE(e.verify_cookie_address(requester, c2, high_base, 250));
+  EXPECT_TRUE(e.verify_cookie_address_ex(requester, c2, high_base, 250).ok);
 }
 
 TEST(CookieAddress, RetiredAddressClassifiedStaleOnFailure) {

@@ -486,6 +486,69 @@ TEST(TcpScheme, ExpiredAndEvictedNatEntriesStillCloseTheirConnection) {
   EXPECT_EQ(bed.guard->proxy_connections(), 1u);
 }
 
+/// Checks that the query PipeliningClient sent from `port` (its DNS id is
+/// the port) ended its journey as a guard drop.
+void expect_journey_ended_by_guard_drop(sim::Simulator& sim, Ipv4Address ip,
+                                        std::uint16_t port) {
+  const obs::JourneyKey key{
+      ip.value(), port, dns::DomainName::parse("www.example.com")->hash32()};
+  EXPECT_EQ(sim.journeys().find(key), nullptr)
+      << "the dropped query's journey is still open";
+  const auto done = sim.journeys().completed();
+  ASSERT_FALSE(done.empty());
+  const auto& last = done.back();
+  ASSERT_GT(last.n_events, 0u);
+  EXPECT_EQ(last.events[last.n_events - 1].stage, "guard.drop");
+  EXPECT_FALSE(last.ok);
+}
+
+TEST(TcpScheme, ProxiedQueryDroppedByRl2EndsItsJourneyAtTheGuard) {
+  // Regression: a proxied query the guard drops must end its journey as a
+  // guard drop. It used to stay open until it timed out or was evicted.
+  NatBed bed([](RemoteGuardNode::Config& gc) {
+    gc.proxy_conn_rate = 1e9;
+    gc.proxy_conn_burst = 1e9;
+    gc.rl2.per_host_rate = 1e-3;  // one verified query, then throttled
+    gc.rl2.per_host_burst = 1.0;
+  });
+  bed.sim.journeys().enable();
+  const Ipv4Address ip(10, 0, 2, 1);
+  PipeliningClient client(bed.sim, ip);
+  client.open(6000, 1);
+  bed.sim.run_for(milliseconds(10));
+  ASSERT_EQ(bed.guard->guard_stats().proxy_queries, 1u);
+
+  client.open(6001, 1);
+  bed.sim.run_for(milliseconds(10));
+  ASSERT_EQ(bed.guard->drop_counters().value(obs::DropReason::kRateLimited2),
+            1u);
+  expect_journey_ended_by_guard_drop(bed.sim, ip, 6001);
+}
+
+TEST(TcpScheme, ProxiedQueryWithoutNatPortEndsItsJourneyAtTheGuard) {
+  NatBed bed([](RemoteGuardNode::Config& gc) {
+    gc.proxy_conn_rate = 1e9;
+    gc.proxy_conn_burst = 1e9;
+    gc.nat_port_probe_limit = 1;
+  });
+  bed.sim.journeys().enable();
+  const Ipv4Address ip(10, 0, 2, 1);
+  PipeliningClient client(bed.sim, ip);
+  bed.guard->set_next_nat_port(30000);
+  client.open(6000, 1);
+  bed.sim.run_for(milliseconds(10));
+  ASSERT_EQ(bed.guard->nat_entries(), 1u);
+
+  // Rewound onto the live entry with one probe allowed: no port is free.
+  bed.guard->set_next_nat_port(30000);
+  client.open(6001, 1);
+  bed.sim.run_for(milliseconds(10));
+  ASSERT_EQ(bed.guard->drop_counters().value(
+                obs::DropReason::kStateTableFull),
+            1u);
+  expect_journey_ended_by_guard_drop(bed.sim, ip, 6001);
+}
+
 /// Median host time to close one proxied connection while `others`
 /// other connections each hold a live NAT entry.
 double median_close_ns(int others) {

@@ -48,16 +48,13 @@ is itself a finding. Annotation counts across src/ are budgeted — in
 total and per token — by tools/lint/baseline.json so the escape hatch
 cannot silently become the default (--check-baseline).
 
-Front-ends: when the python libclang bindings (clang.cindex) and a
-libclang shared library are available, the hot-path-alloc call graph is
-built from the AST using CMake's compile_commands.json (--compile-commands
-or autodetected at build*/compile_commands.json), and the shard-isolation
-/ determinism / decode-bounds rules run their shared dataflow core over
-libclang's lexer and AST function extents instead of the built-in
-tokenizer. Otherwise — including in minimal CI containers — the built-in
-lexer front-end computes all rules from tokenized sources; the fixture
-suite pins both front-ends to identical verdicts. Force one with
---engine={auto,clang,text}.
+Engine: one dependency-free lexer. It strips comments and string
+literals, finds function extents by brace matching, and resolves calls
+by name (a name is followed only when exactly one project function or
+one class's methods define it). hot-path-alloc follows those calls up to
+6 deep from its roots; the dataflow rules (shard-isolation, determinism,
+decode-bounds) group foo.h + foo.cpp into one analysis unit and never
+resolve names across units.
 
 Reporting: human-readable findings on stdout, a JSON report via --json,
 and SARIF 2.1.0 via --sarif (consumed by the CI static-analysis job for
@@ -453,8 +450,7 @@ class FunctionDef:
 
 def extract_functions(sf: SourceFile) -> list:
     """Heuristic function-definition extractor over stripped code. Good
-    enough for this codebase's clang-format-enforced style; the clang
-    front-end replaces it when libclang is available."""
+    enough for this codebase's clang-format-enforced style."""
     text = "\n".join(sf.code_lines)
     line_of = _line_index(text)
     class_spans = []  # (open brace, close brace, class name)
@@ -543,14 +539,15 @@ def root_matches(qualified: str, name: str, roots) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Rule: hot-path-alloc (text engine)
+# Rule: hot-path-alloc
 # --------------------------------------------------------------------------
 
-def check_hot_path_alloc(sources, roots=HOT_PATH_ROOTS, max_depth=3):
+def check_hot_path_alloc(sources, roots=HOT_PATH_ROOTS, max_depth=6):
     """BFS over the name-resolved call graph from the hot-path roots;
     every reached function is scanned for direct allocation constructs.
-    Depth is bounded (default 3) because name-based resolution loses
-    precision with distance; the clang engine raises it."""
+    Depth is bounded (default 6 calls below a root): ambiguous names are
+    never followed, so the bound only caps how far a chain of unique
+    project functions is chased."""
     by_name: dict = {}
     all_funcs = []
     func_src: dict = {}
@@ -751,28 +748,8 @@ def check_sim_time(sources, exempt=TIME_EXEMPT_FILES):
 
 
 # --------------------------------------------------------------------------
-# Front-end seam for the dataflow rules
+# Analysis units for the dataflow rules
 # --------------------------------------------------------------------------
-# The shard-isolation / determinism / decode-bounds rules run one shared
-# dataflow core (unit grouping, Shard spans, packet-path BFS, two-pass
-# container tracking) over a front-end that supplies comment/string-free
-# code lines and function extents. TextFrontend is the built-in lexer;
-# try_clang_frontend() (further down) swaps in libclang's lexer and AST
-# extents when available. Sharing the core is what keeps the two engines
-# verdict-pinned.
-
-class TextFrontend:
-    name = "text"
-
-    def view(self, sf: SourceFile) -> SourceFile:
-        return sf
-
-    def functions(self, sf: SourceFile) -> list:
-        return extract_functions(sf)
-
-
-TEXT_FRONTEND = TextFrontend()
-
 
 def _unit_key(path: str):
     """Files of one class (foo.h + foo.cpp in the same directory) form one
@@ -794,7 +771,7 @@ def _group_units(sources) -> dict:
 # Rule: shard-isolation
 # --------------------------------------------------------------------------
 
-def check_shard_isolation(sources, frontend=None):
+def check_shard_isolation(sources):
     """Two complementary checks over every unit that nests a
     `struct Shard`:
 
@@ -808,19 +785,17 @@ def check_shard_isolation(sources, frontend=None):
          reached may not index `shards_` with a hard-coded constant —
          cold setup code (constructors, bind_metrics) legitimately pins
          shard 0, but on the packet path that is a cross-shard leak."""
-    fe = frontend or TEXT_FRONTEND
     findings = []
     for _, unit in sorted(_group_units(sources).items()):
         if not all(sf.path.startswith("src/") or _is_fixture(sf.path)
                    for sf in unit):
             continue
-        views = {sf.path: fe.view(sf) for sf in unit}
 
         # Pass 0: locate Shard struct spans; a unit without one is not a
         # sharded class and is out of scope.
         spans: dict = {}
         for sf in unit:
-            text = "\n".join(views[sf.path].code_lines)
+            text = "\n".join(sf.code_lines)
             line_of = _line_index(text)
             for m in SHARD_STRUCT_RE.finditer(text):
                 end = _match_brace(text, m.end() - 1)
@@ -832,7 +807,7 @@ def check_shard_isolation(sources, frontend=None):
 
         # Pass 1: per-source state declared outside the Shard spans.
         for sf in unit:
-            text = "\n".join(views[sf.path].code_lines)
+            text = "\n".join(sf.code_lines)
             line_of = _line_index(text)
             for m in SHARD_PER_SOURCE_DECL.finditer(text):
                 lineno = line_of(m.start(1))
@@ -855,7 +830,7 @@ def check_shard_isolation(sources, frontend=None):
         src_of: dict = {}
         roots = []
         for sf in unit:
-            for fn in fe.functions(views[sf.path]):
+            for fn in extract_functions(sf):
                 by_name.setdefault(fn.name, []).append(fn)
                 src_of[id(fn)] = sf
                 if fn.name in SHARD_PATH_ROOTS:
@@ -889,22 +864,20 @@ def check_shard_isolation(sources, frontend=None):
 # Rule: determinism
 # --------------------------------------------------------------------------
 
-def check_determinism(sources, frontend=None):
+def check_determinism(sources):
     """Nondeterminism sources across src/ and bench/: host entropy,
     pointer-value keys/order, and iteration over std::unordered_*
     containers. Iteration tracking is two-pass within an analysis unit:
     collect names declared as unordered containers, then flag range-for /
     .begin() traversal of those names. Lookup-only use (find/count/[]) is
     deterministic and stays legal."""
-    fe = frontend or TEXT_FRONTEND
     scoped = [sf for sf in sources
               if sf.path.startswith(("src/", "bench/")) or
               _is_fixture(sf.path)]
     findings = []
-    views = {sf.path: fe.view(sf) for sf in scoped}
 
     for sf in scoped:
-        for idx, line in enumerate(views[sf.path].code_lines, start=1):
+        for idx, line in enumerate(sf.code_lines, start=1):
             for pat, why in DETERMINISM_PATTERNS:
                 if re.search(pat, line):
                     findings.append(Finding(
@@ -918,13 +891,13 @@ def check_determinism(sources, frontend=None):
     for _, unit in sorted(_group_units(scoped).items()):
         unordered = set()
         for sf in unit:
-            text = "\n".join(views[sf.path].code_lines)
+            text = "\n".join(sf.code_lines)
             for m in UNORDERED_DECL.finditer(text):
                 unordered.add(m.group(1))
         if not unordered:
             continue
         for sf in unit:
-            for idx, line in enumerate(views[sf.path].code_lines, start=1):
+            for idx, line in enumerate(sf.code_lines, start=1):
                 for rex in (RANGE_FOR_OVER, BEGIN_CALL_ON):
                     m = rex.search(line)
                     if m and m.group(1) in unordered:
@@ -946,21 +919,19 @@ def check_determinism(sources, frontend=None):
 # Rule: decode-bounds
 # --------------------------------------------------------------------------
 
-def check_decode_bounds(sources, frontend=None):
+def check_decode_bounds(sources):
     """src/dns parses attacker bytes; all positional reasoning must live
     in dns::Cursor (cursor.h — the sanctioned, exempt implementation).
     Everything else in the directory is banned from raw ByteReader use,
     offset arithmetic (pos/seek/remaining), reinterpret_cast, and pointer
     arithmetic on buffer data."""
-    fe = frontend or TEXT_FRONTEND
     findings = []
     for sf in sources:
         if not (sf.path.startswith("src/dns/") or _is_fixture(sf.path)):
             continue
         if sf.path in DECODE_SANCTIONED_FILES:
             continue
-        v = fe.view(sf)
-        for idx, line in enumerate(v.code_lines, start=1):
+        for idx, line in enumerate(sf.code_lines, start=1):
             for pat, why in DECODE_PATTERNS:
                 if re.search(pat, line):
                     findings.append(Finding(
@@ -1046,7 +1017,7 @@ def check_baseline(counts, baseline_path):
 # SARIF 2.1.0 emitter (CI code annotations)
 # --------------------------------------------------------------------------
 
-def to_sarif(findings, rules_run, engine_name):
+def to_sarif(findings, rules_run):
     """One SARIF run: the rule catalog (every rule that ran plus any
     synthetic rules that fired, e.g. annotation-budget), and one result
     per finding. Annotated findings are emitted at `note` level with an
@@ -1086,8 +1057,7 @@ def to_sarif(findings, rules_run, engine_name):
                 "informationUri":
                     "https://github.com/dnsguard/dnsguard/blob/main/docs/"
                     "STATIC_ANALYSIS.md",
-                "semanticVersion": "2.0.0",
-                "properties": {"engine": engine_name},
+                "semanticVersion": "3.0.0",
                 "rules": [{
                     "id": rid,
                     "shortDescription": {
@@ -1100,296 +1070,6 @@ def to_sarif(findings, rules_run, engine_name):
             "results": results,
         }],
     }
-
-
-# --------------------------------------------------------------------------
-# Optional clang front-end (hot-path-alloc precision)
-# --------------------------------------------------------------------------
-
-def try_clang_engine(root, compile_commands):
-    """Returns a callable with the check_hot_path_alloc signature, or None
-    when libclang is unavailable. The clang engine builds the call graph
-    from the AST (qualified names, overload-resolved), so it follows calls
-    the text engine's unique-name heuristic must skip."""
-    try:
-        from clang import cindex  # noqa: F401
-    except ImportError:
-        return None
-    try:
-        index = cindex.Index.create()
-    except Exception:
-        return None
-
-    def engine(sources, roots=HOT_PATH_ROOTS, max_depth=6):
-        from clang.cindex import CursorKind
-        db = None
-        if compile_commands and os.path.isdir(os.path.dirname(compile_commands)):
-            try:
-                db = cindex.CompilationDatabase.fromDirectory(
-                    os.path.dirname(compile_commands))
-            except cindex.CompilationDatabaseError:
-                db = None
-
-        defs = {}        # USR -> (cursor extent info, qualified name)
-        callees = {}     # USR -> set(USR)
-        alloc_sites = {}  # USR -> [(file, line, what)]
-        src_paths = {os.path.join(root, sf.path) for sf in sources
-                     if sf.path.startswith("src/")}
-
-        def qualified_name(cur):
-            parts = []
-            c = cur
-            while c is not None and c.kind != CursorKind.TRANSLATION_UNIT:
-                if c.spelling:
-                    parts.append(c.spelling)
-                c = c.semantic_parent
-            return "::".join(reversed(parts[:2]))  # Class::name at most
-
-        def args_for(path):
-            base = ["-std=c++20", f"-I{os.path.join(root, 'src')}"]
-            if db is None:
-                return base
-            cmds = db.getCompileCommands(path)
-            if not cmds:
-                return base
-            out = []
-            it = iter(list(cmds[0].arguments)[1:-1])
-            for a in it:
-                if a in ("-c", "-o"):
-                    next(it, None)
-                    continue
-                out.append(a)
-            return out or base
-
-        for path in sorted(src_paths):
-            if not path.endswith(".cpp"):
-                continue
-            try:
-                tu = index.parse(path, args=args_for(path))
-            except cindex.TranslationUnitLoadError:
-                continue
-
-            def visit(cur, current=None):
-                if cur.kind in (CursorKind.FUNCTION_DECL, CursorKind.CXX_METHOD,
-                                CursorKind.CONSTRUCTOR) and cur.is_definition():
-                    current = cur.get_usr()
-                    defs[current] = (cur.location.file.name if cur.location.file
-                                     else path, cur.location.line,
-                                     qualified_name(cur))
-                    callees.setdefault(current, set())
-                    alloc_sites.setdefault(current, [])
-                if current is not None:
-                    if cur.kind == CursorKind.CALL_EXPR:
-                        ref = cur.referenced
-                        if ref is not None:
-                            callees[current].add(ref.get_usr())
-                            nm = ref.spelling or ""
-                            if nm in ("malloc", "calloc", "realloc", "strdup",
-                                      "push_back", "emplace_back", "emplace",
-                                      "resize", "reserve", "append", "substr",
-                                      "to_string", "make_unique", "make_shared"):
-                                loc = cur.location
-                                alloc_sites[current].append(
-                                    (loc.file.name if loc.file else path,
-                                     loc.line, f"allocating call '{nm}'"))
-                    elif cur.kind == CursorKind.CXX_NEW_EXPR:
-                        loc = cur.location
-                        alloc_sites[current].append(
-                            (loc.file.name if loc.file else path, loc.line,
-                             "operator new"))
-                for child in cur.get_children():
-                    visit(child, current)
-
-            visit(tu.cursor)
-
-        by_path = {os.path.join(root, sf.path): sf for sf in sources}
-        start = [(usr, info[2]) for usr, info in defs.items()
-                 if root_matches(info[2], info[2].split("::")[-1], roots)]
-        reach = reachable(
-            start,
-            lambda usr: ((c, defs[c][2]) for c in callees.get(usr, ())
-                         if c in defs),
-            max_depth)
-        findings = []
-        for usr, trail in reach.values():
-            for fpath, line, what in alloc_sites.get(usr, []):
-                sf = by_path.get(os.path.abspath(fpath)) or by_path.get(fpath)
-                rel = sf.path if sf else os.path.relpath(fpath, root)
-                findings.append(Finding(
-                    rule="hot-path-alloc", file=rel, line=line,
-                    message=f"{what} in hot-path (reachable via {trail})",
-                    allowed=bool(sf and allow_covers(sf, line, "alloc"))))
-        return findings
-
-    return engine
-
-
-# --------------------------------------------------------------------------
-# Optional clang front-end for the dataflow rules
-# --------------------------------------------------------------------------
-
-def try_clang_frontend(root, compile_commands):
-    """Builds a front-end (the TextFrontend interface) over libclang, or
-    returns None when the bindings are unavailable.
-
-    view() re-derives comment/string-free code lines from libclang's
-    token stream — each token is placed back at its source line/column,
-    so the shared rule regexes see the same layout the text lexer
-    produces. functions() takes definitions and brace extents from the
-    AST instead of the FUNC_DEF heuristic. Any per-file parse failure
-    falls back to the text front-end for that file, so a broken include
-    path degrades precision, never verdicts."""
-    try:
-        from clang import cindex
-        index = cindex.Index.create()
-    except Exception:
-        return None
-
-    cc_dir = (os.path.dirname(compile_commands)
-              if compile_commands else None)
-
-    class ClangFrontend:
-        name = "clang"
-
-        def __init__(self):
-            self._tus: dict = {}
-            self._views: dict = {}
-            self._funcs: dict = {}
-
-        def _tu(self, sf):
-            if sf.path in self._tus:
-                return self._tus[sf.path]
-            tu = None
-            try:
-                path = os.path.join(root, sf.path)
-                args = ["-std=c++20", f"-I{os.path.join(root, 'src')}",
-                        f"-I{root}"]
-                if cc_dir:
-                    args.append(f"-I{os.path.join(cc_dir, '..')}")
-                tu = index.parse(path, args=args)
-            except Exception:
-                tu = None
-            self._tus[sf.path] = tu
-            return tu
-
-        def view(self, sf):
-            if sf.path in self._views:
-                return self._views[sf.path]
-            out = sf  # fall back to the text lexer's view
-            tu = self._tu(sf)
-            if tu is not None:
-                try:
-                    out = self._view_from_tokens(sf, tu)
-                except Exception:
-                    out = sf
-            self._views[sf.path] = out
-            return out
-
-        def _view_from_tokens(self, sf, tu):
-            from clang.cindex import TokenKind
-            grid = [[" "] * len(line) for line in sf.raw_lines]
-
-            def place(line, col, text):
-                if not (1 <= line <= len(grid)):
-                    return
-                row = grid[line - 1]
-                for i, ch in enumerate(text):
-                    at = col - 1 + i
-                    if at >= len(row):
-                        row.extend(" " * (at - len(row) + 1))
-                    row[at] = ch
-
-            for tok in tu.cursor.get_tokens():
-                loc = tok.location
-                spelling = tok.spelling
-                if tok.kind == TokenKind.COMMENT:
-                    # Keep only the markers the linter itself consumes.
-                    if ("DNSGUARD_LINT_ALLOW" in spelling
-                            or "NOLINT" in spelling):
-                        place(loc.line, loc.column,
-                              spelling.splitlines()[0])
-                    continue
-                if tok.kind == TokenKind.LITERAL and spelling[:1] in "\"'":
-                    place(loc.line, loc.column,
-                          spelling[0] + " " * (len(spelling) - 2)
-                          + spelling[-1] if len(spelling) > 1 else spelling)
-                    continue
-                if "\n" in spelling:  # raw string or other multi-liner
-                    continue
-                place(loc.line, loc.column, spelling)
-
-            view = SourceFile(path=sf.path)
-            view.raw_lines = sf.raw_lines
-            view.code_lines = ["".join(row) for row in grid]
-            view.allows = sf.allows
-            return view
-
-        def functions(self, sf):
-            if sf.path in self._funcs:
-                return self._funcs[sf.path]
-            tu = self._tu(sf)
-            out = None
-            if tu is not None:
-                try:
-                    out = self._functions_from_ast(sf, tu)
-                except Exception:
-                    out = None
-            if out is None:
-                out = extract_functions(self.view(sf))
-            self._funcs[sf.path] = out
-            return out
-
-        def _functions_from_ast(self, sf, tu):
-            from clang.cindex import CursorKind
-            view = self.view(sf)
-            text = "\n".join(view.code_lines)
-            line_starts = [0]
-            for i, c in enumerate(text):
-                if c == "\n":
-                    line_starts.append(i + 1)
-            main_file = os.path.join(root, sf.path)
-            kinds = (CursorKind.FUNCTION_DECL, CursorKind.CXX_METHOD,
-                     CursorKind.CONSTRUCTOR, CursorKind.DESTRUCTOR)
-            funcs = []
-
-            def visit(cur):
-                if (cur.kind in kinds and cur.is_definition()
-                        and cur.location.file
-                        and os.path.samefile(cur.location.file.name,
-                                             main_file)):
-                    start = cur.extent.start.line
-                    end = min(cur.extent.end.line, len(view.code_lines))
-                    if 1 <= start <= end:
-                        seg_start = line_starts[start - 1]
-                        seg_end = (line_starts[end] - 1
-                                   if end < len(line_starts)
-                                   else len(text))
-                        seg = text[seg_start:seg_end]
-                        brace = seg.find("{")
-                        if brace != -1:
-                            brace_line = start + seg.count("\n", 0, brace)
-                            parent = cur.semantic_parent
-                            qual = (f"{parent.spelling}::{cur.spelling}"
-                                    if parent is not None and parent.kind in
-                                    (CursorKind.CLASS_DECL,
-                                     CursorKind.STRUCT_DECL,
-                                     CursorKind.CLASS_TEMPLATE)
-                                    else cur.spelling)
-                            funcs.append(FunctionDef(
-                                qualified=qual,
-                                name=cur.spelling.lstrip("~"),
-                                file=sf.path,
-                                start_line=brace_line,
-                                end_line=end,
-                                body=seg[brace + 1:],
-                            ))
-                for child in cur.get_children():
-                    visit(child)
-
-            visit(tu.cursor)
-            return funcs
-
-    return ClangFrontend()
 
 
 # --------------------------------------------------------------------------
@@ -1411,16 +1091,6 @@ def gather_sources(root, paths):
     return [load_source(root, rel) for rel in sorted(set(rels))]
 
 
-def find_compile_commands(root, explicit):
-    if explicit:
-        return explicit if os.path.isfile(explicit) else None
-    for cand in ("build", "build-san", "."):
-        p = os.path.join(root, cand, "compile_commands.json")
-        if os.path.isfile(p):
-            return p
-    return None
-
-
 def run(argv=None):
     ap = argparse.ArgumentParser(
         prog="dnsguard_lint.py",
@@ -1429,22 +1099,13 @@ def run(argv=None):
                     help="files/dirs to lint (default: src/ and bench/)")
     ap.add_argument("--root", default=None,
                     help="repo root (default: two levels above this script)")
-    ap.add_argument("--rule", action="append", choices=RULES, default=None,
-                    help="run only the named rule(s)")
     ap.add_argument("--only", action="append", default=None,
                     metavar="RULE[,RULE]",
-                    help="comma-separated rule selection (same as repeated "
-                         "--rule; faster local iteration)")
+                    help="run only the named rule(s), comma-separated or "
+                         "repeated (faster local iteration)")
     ap.add_argument("--list-rules", action="store_true",
                     help="list rules with their one-line invariants and "
                          "allow-tokens, then exit")
-    ap.add_argument("--engine", choices=("auto", "clang", "text"),
-                    default="auto",
-                    help="front-end for the call-graph/dataflow rules "
-                         "(default auto: clang when libclang is "
-                         "importable, else text)")
-    ap.add_argument("--compile-commands", default=None,
-                    help="path to compile_commands.json for the clang engine")
     ap.add_argument("--strict", action="store_true",
                     help="exit 1 on any unannotated finding")
     ap.add_argument("--json", dest="json_out", default=None,
@@ -1473,7 +1134,7 @@ def run(argv=None):
     if not sources:
         print("dnsguard-lint: no sources found", file=sys.stderr)
         return 2
-    rules = list(args.rule) if args.rule else []
+    rules = []
     for only in (args.only or []):
         for name in only.split(","):
             name = name.strip()
@@ -1485,26 +1146,9 @@ def run(argv=None):
                 rules.append(name)
     rules = rules or list(RULES)
 
-    compile_commands = find_compile_commands(root, args.compile_commands)
-    frontend = None
-    dataflow_rules = {"shard-isolation", "determinism", "decode-bounds"}
-    if args.engine in ("auto", "clang") and dataflow_rules & set(rules):
-        frontend = try_clang_frontend(root, compile_commands)
-
     findings = []
-    clang_used = False
     if "hot-path-alloc" in rules:
-        engine = None
-        if args.engine in ("auto", "clang"):
-            engine = try_clang_engine(root, compile_commands)
-        clang_used = clang_used or engine is not None
-        findings += (engine or check_hot_path_alloc)(sources)
-    clang_capable = ({"hot-path-alloc"} | dataflow_rules) & set(rules)
-    if (args.engine == "clang" and clang_capable
-            and not (clang_used or frontend)):
-        print("dnsguard-lint: --engine=clang requested but libclang "
-              "is unavailable", file=sys.stderr)
-        return 2
+        findings += check_hot_path_alloc(sources)
     if "drop-reason" in rules:
         findings += check_drop_reason(sources)
     if "bounded-state" in rules:
@@ -1512,13 +1156,11 @@ def run(argv=None):
     if "sim-time-purity" in rules:
         findings += check_sim_time(sources)
     if "shard-isolation" in rules:
-        findings += check_shard_isolation(sources, frontend)
+        findings += check_shard_isolation(sources)
     if "determinism" in rules:
-        findings += check_determinism(sources, frontend)
+        findings += check_determinism(sources)
     if "decode-bounds" in rules:
-        findings += check_decode_bounds(sources, frontend)
-    clang_used = clang_used or frontend is not None
-    engine_name = "clang" if clang_used else "text"
+        findings += check_decode_bounds(sources)
     findings += check_annotations(sources)
 
     counts = count_annotations(sources)
@@ -1533,14 +1175,13 @@ def run(argv=None):
             print(f.format())
             if f.context:
                 print(f"    {f.context}")
-        print(f"dnsguard-lint [{engine_name} engine]: "
+        print(f"dnsguard-lint: "
               f"{len(errors)} finding(s), {len(allowed)} annotated, "
               f"{counts['allow_total']} ALLOW / "
               f"{counts['nolint_total']} NOLINT across src/")
 
     if args.json_out:
         report = {
-            "engine": engine_name,
             "rules": rules,
             "findings": [asdict(f) for f in findings],
             "error_count": len(errors),
@@ -1553,7 +1194,7 @@ def run(argv=None):
 
     if args.sarif_out:
         with open(args.sarif_out, "w", encoding="utf-8") as f:
-            json.dump(to_sarif(findings, rules, engine_name), f, indent=2)
+            json.dump(to_sarif(findings, rules), f, indent=2)
             f.write("\n")
 
     if errors and args.strict:
