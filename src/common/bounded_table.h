@@ -6,8 +6,10 @@
 // inflates the map until the guard swaps or dies. BoundedTable closes that
 // class in one place by combining
 //
-//   - a hard capacity cap (allocation happens up front / in chunks, and
-//     steady state never touches the allocator),
+//   - a hard capacity cap (memory follows occupancy: slots come in
+//     chunks and the index doubles as entries arrive, so a table
+//     configured for a million sources costs what its live entries cost,
+//     and a table at its high-water mark never touches the allocator),
 //   - LRU eviction at the cap (or refusal, for tables whose entries
 //     represent verified work that must not be displaced),
 //   - TTL and idle-timeout reaping, incremental via a wrapping cursor so
@@ -20,10 +22,15 @@
 // Layout: an open-addressing, linear-probe index of u32 slot references
 // over slots stored in a std::deque (chunked, addresses stable — Value*
 // handed out by find()/try_emplace() stay valid until that entry itself is
-// erased or evicted). The LRU list is intrusive: u32 prev/next indices in
-// the slots, no nodes, no allocation. Values live in std::optional so
-// Value needs no default constructor (TokenBucket has none) and free
-// slots hold no live Value.
+// erased or evicted). The index starts at 16 buckets and doubles whenever
+// an insert would push its load above 1/2, rebuilt from the live slots
+// after the old index is released (the heap peak never exceeds the new
+// size); it stops at the smallest power of two >= 2x capacity, where the
+// load can no longer pass 1/2. The LRU list is intrusive: u32 prev/next
+// indices in the slots, no nodes, no allocation — and kept only by tables
+// that evict at the cap, the one reader of LRU order. Values live in
+// std::optional so Value needs no default constructor (TokenBucket has
+// none) and free slots hold no live Value.
 //
 // Reentrancy rule: the eviction callback runs after the entry has been
 // fully unlinked (it receives the moved-out key and value), so it may
@@ -34,6 +41,7 @@
 // this). The one thing it must not do is clear() the evicting table.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -129,10 +137,9 @@ class BoundedTable {
 
   explicit BoundedTable(Config config) : config_(config) {
     if (config_.capacity == 0) config_.capacity = 1;
-    std::size_t buckets = 8;
-    while (buckets < config_.capacity * 2) buckets <<= 1;
-    index_.assign(buckets, 0);
-    mask_ = buckets - 1;
+    max_buckets_ = 8;
+    while (max_buckets_ < config_.capacity * 2) max_buckets_ <<= 1;
+    rebuild_index(std::min(kInitialBuckets, max_buckets_));
   }
   BoundedTable() : BoundedTable(Config{}) {}
 
@@ -159,7 +166,7 @@ class BoundedTable {
     }
     Slot& s = slots_[si];
     s.last_use = now;
-    lru_move_front(si);
+    if (config_.evict_lru_when_full) lru_move_front(si);
     ++stats_.hits;
     return &*s.value;
   }
@@ -190,7 +197,7 @@ class BoundedTable {
       if (!expired(slots_[si], now)) {
         Slot& s = slots_[si];
         s.last_use = now;
-        lru_move_front(si);
+        if (config_.evict_lru_when_full) lru_move_front(si);
         ++stats_.hits;
         return {&*s.value, false};
       }
@@ -211,15 +218,17 @@ class BoundedTable {
       remove_slot(lru_tail_, expired(tail, now) ? expire_reason(tail, now)
                                                 : EvictReason::kCapacity);
     }
+    if ((size_ + 1) * 2 > index_.size() && index_.size() < max_buckets_) {
+      rebuild_index(index_.size() * 2);
+    }
     const std::uint32_t si = alloc_slot();
     Slot& s = slots_[si];
     s.key = key;
     s.value.emplace(std::forward<Args>(args)...);
-    s.inserted_at = now;
     s.last_use = now;
     s.expires_at =
         config_.ttl.ns > 0 ? now + config_.ttl : SimTime{kNoExpiryNs};
-    lru_push_front(si);
+    if (config_.evict_lru_when_full) lru_push_front(si);
     index_insert(si);
     ++size_;
     ++stats_.inserts;
@@ -310,7 +319,9 @@ class BoundedTable {
     }
   }
 
-  /// The least-recently-used key, or nullptr when empty (tests).
+  /// The least-recently-used key, or nullptr when empty (tests). Only
+  /// tables that evict at the cap keep LRU order; a refusing table
+  /// always answers nullptr.
   [[nodiscard]] const Key* lru_key() const {
     return lru_tail_ == kNil ? nullptr : &slots_[lru_tail_].key;
   }
@@ -318,7 +329,7 @@ class BoundedTable {
   void clear() {
     slots_.clear();
     free_.clear();
-    index_.assign(index_.size(), 0);
+    rebuild_index(std::min(kInitialBuckets, max_buckets_));
     lru_head_ = lru_tail_ = kNil;
     size_ = 0;
     cursor_ = 0;
@@ -330,6 +341,8 @@ class BoundedTable {
   [[nodiscard]] std::size_t capacity() const { return config_.capacity; }
   [[nodiscard]] bool full() const { return size_ >= config_.capacity; }
   [[nodiscard]] const Config& config() const { return config_; }
+  /// Current probe-index size (tests): 16 up to the cap's bucket count.
+  [[nodiscard]] std::size_t bucket_count() const { return index_.size(); }
 
   [[nodiscard]] const BoundedTableStats& stats() const { return stats_; }
   [[nodiscard]] BoundedTableStats& stats() { return stats_; }
@@ -347,12 +360,13 @@ class BoundedTable {
   struct Slot {
     Key key{};
     std::optional<Value> value;  // disengaged == free slot
-    SimTime inserted_at{};
     SimTime last_use{};
     SimTime expires_at{kNoExpiryNs};
-    std::uint32_t lru_prev = kNil;
+    std::uint32_t lru_prev = kNil;  // LRU links: evicting tables only
     std::uint32_t lru_next = kNil;
   };
+
+  static constexpr std::size_t kInitialBuckets = 16;
 
   // Small keys (ports, query ids) hash to themselves under std::hash;
   // a Fibonacci multiply spreads them across the high bits before the
@@ -370,6 +384,17 @@ class BoundedTable {
       b = (b + 1) & mask_;
     }
     return kNoBucket;
+  }
+
+  // Resizes the index to `buckets` and re-inserts every live slot. The
+  // old index is released first, so the heap never holds both.
+  void rebuild_index(std::size_t buckets) {
+    index_ = std::vector<std::uint32_t>();
+    index_.assign(buckets, 0);
+    mask_ = buckets - 1;
+    for (std::uint32_t si = 0; si < slots_.size(); ++si) {
+      if (slots_[si].value) index_insert(si);
+    }
   }
 
   void index_insert(std::uint32_t si) {
@@ -457,7 +482,7 @@ class BoundedTable {
     const std::uint32_t si = index_[b] - 1;
     Slot& s = slots_[si];
     index_erase_at(b);
-    lru_unlink(si);
+    if (config_.evict_lru_when_full) lru_unlink(si);
     Key key = std::move(s.key);
     Value value = std::move(*s.value);
     s.value.reset();
@@ -482,6 +507,7 @@ class BoundedTable {
   Config config_;
   std::vector<std::uint32_t> index_;  // slot index + 1; 0 = empty
   std::size_t mask_ = 0;
+  std::size_t max_buckets_ = 0;       // pow2 >= 2x capacity: growth stops
   std::deque<Slot> slots_;            // stable addresses, chunked growth
   std::vector<std::uint32_t> free_;
   std::uint32_t lru_head_ = kNil;     // most recently used

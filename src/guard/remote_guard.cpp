@@ -303,6 +303,15 @@ void RemoteGuardNode::drop_other(const net::Packet& packet,
   jend("guard.drop", /*ok=*/false);
 }
 
+void RemoteGuardNode::drop_proxied(tcp::ConnId conn,
+                                   obs::DropReason reason) {
+  drops_.count(reason);
+  if (auto remote = tcp_->remote_of(conn)) {
+    trace(obs::TraceEvent::kDrop, remote->ip, config_.ans_address,
+          remote->port, reason);
+  }
+}
+
 void RemoteGuardNode::note_verified(Scheme scheme, bool used_previous) {
   if (used_previous) {
     stats_.verified_prev_gen++;
@@ -736,7 +745,7 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
   if (ins.value == nullptr) {
     // Refused insert (only possible if eviction were disabled): reset the
     // connection instead of carrying unframeable stream state.
-    drops_.count(obs::DropReason::kStateTableFull);
+    drop_proxied(conn, obs::DropReason::kStateTableFull);
     tcp_->abort(conn);
     return;
   }
@@ -744,7 +753,7 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
     if (!dns::Message::decode_into(BytesView(msg), request_) ||
         request_.header.qr || request_.question() == nullptr) {
       stats_.malformed++;
-      drops_.count(obs::DropReason::kMalformed);
+      drop_proxied(conn, obs::DropReason::kMalformed);
       continue;
     }
     auto remote = tcp_->remote_of(conn);
@@ -764,7 +773,7 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
     // apply Rate-Limiter2 like any verified requester.
     if (!cur_shard_->rl2.allow(remote->ip, now())) {
       stats_.rl2_throttled++;
-      drops_.count(obs::DropReason::kRateLimited2);
+      drop_proxied(conn, obs::DropReason::kRateLimited2);
       jend("guard.drop", /*ok=*/false);
       continue;
     }
@@ -794,7 +803,7 @@ void RemoteGuardNode::proxy_on_data(tcp::ConnId conn, BytesView data) {
       if (r.value == nullptr) break;  // table refused the insert
     }
     if (!port) {
-      drops_.count(obs::DropReason::kStateTableFull);
+      drop_proxied(conn, obs::DropReason::kStateTableFull);
       jend("guard.drop", /*ok=*/false);
       continue;
     }

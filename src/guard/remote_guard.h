@@ -289,6 +289,9 @@ class RemoteGuardNode : public sim::Node {
                   obs::DropReason reason);
   /// Rate-limiter / proxy / malformed drops (not cookie failures).
   void drop_other(const net::Packet& packet, obs::DropReason reason);
+  /// A drop on the TCP proxy path, traced under the connection's remote
+  /// endpoint (source address, info = remote port).
+  void drop_proxied(tcp::ConnId conn, obs::DropReason reason);
   /// Books a successful cookie verification (per scheme + per generation).
   void note_verified(Scheme scheme, bool used_previous);
   /// Rate-Limiter1 in front of every generated reply (cookie, referral,

@@ -122,6 +122,14 @@ class Node {
   /// the DNS id when the payload carries one (first two payload bytes).
   void trace(obs::TraceEvent event, const net::Packet& packet,
              obs::DropReason reason = obs::DropReason::kNone);
+  /// Records a lifecycle event that has no packet in hand (a message
+  /// reassembled from a TCP stream): `info` is the protocol detail, e.g.
+  /// the connection's remote port.
+  void trace(obs::TraceEvent event, net::Ipv4Address src,
+             net::Ipv4Address dst, std::uint16_t info,
+             obs::DropReason reason = obs::DropReason::kNone) {
+    trace_.record(now(), event, src.value(), dst.value(), info, reason);
+  }
 
   /// Tags this node's process() spans in the wall-clock profiler (e.g.
   /// kGuardService). Call from the subclass constructor; the default

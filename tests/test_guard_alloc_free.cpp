@@ -5,7 +5,9 @@
 // mint/verify, rewrite, encode and the sends it queues. Each test plays
 // one scheme's cookie dance as scripted packets against a guard whose ANS
 // and requester are sinks, warms every scratch buffer and pool up, then
-// requires zero allocations over 1000 more rounds.
+// requires zero allocations over 1000 more rounds. The same counter also
+// pins the guard's construction footprint: it follows occupancy, not the
+// configured table capacities.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,9 +21,11 @@
 namespace {
 
 std::uint64_t g_allocations = 0;
+std::uint64_t g_allocated_bytes = 0;
 
 void* counted_alloc(std::size_t n) {
   ++g_allocations;
+  g_allocated_bytes += n;
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -29,6 +33,7 @@ void* counted_alloc(std::size_t n) {
 
 void* counted_alloc_aligned(std::size_t n, std::align_val_t al) {
   ++g_allocations;
+  g_allocated_bytes += n;
   std::size_t align = static_cast<std::size_t>(al);
   if (align < sizeof(void*)) align = sizeof(void*);
   void* p = nullptr;
@@ -294,6 +299,37 @@ TEST(GuardAllocFree, TcRedirectAllocatesNothing) {
   EXPECT_EQ(bed.guard->guard_stats().tc_redirects,
             std::uint64_t{kWarmupRounds + kCountedRounds});
   EXPECT_EQ(bed.lrs.received, std::uint64_t{kWarmupRounds + kCountedRounds});
+}
+
+/// Bytes allocated while constructing a 4-shard guard whose per-source
+/// tables are all configured for `capacity` entries.
+std::uint64_t guard_construction_bytes(std::size_t capacity) {
+  sim::Simulator sim;
+  SinkNode ans{sim, "ans"};
+  RemoteGuardNode::Config gc;
+  gc.guard_address = kGuardIp;
+  gc.ans_address = kAnsIp;
+  gc.subnet_base = kSubnetBase;
+  gc.num_shards = 4;
+  gc.rl1.max_buckets = capacity;
+  gc.rl1.tracker_capacity = capacity;
+  gc.rl2.max_hosts = capacity;
+  gc.pending_table_capacity = capacity;
+  gc.nat_table_capacity = capacity;
+  gc.conn_bucket_capacity = capacity;
+  gc.proxy_max_connections = capacity;
+  const std::uint64_t before = g_allocated_bytes;
+  auto guard = std::make_unique<RemoteGuardNode>(sim, "guard", gc, &ans);
+  return g_allocated_bytes - before;
+}
+
+TEST(GuardAllocFree, ConstructionBytesDoNotGrowWithTableCapacity) {
+  // Every table's probe index used to be allocated for its configured
+  // capacity up front: 2^20-entry limiters cost 16 MB before any packet.
+  const std::uint64_t small = guard_construction_bytes(std::size_t{1} << 14);
+  const std::uint64_t large = guard_construction_bytes(std::size_t{1} << 20);
+  EXPECT_LE(large, small) << "construction at 2^14: " << small
+                          << " B, at 2^20: " << large << " B";
 }
 
 }  // namespace

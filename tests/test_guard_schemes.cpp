@@ -549,6 +549,36 @@ TEST(TcpScheme, ProxiedQueryWithoutNatPortEndsItsJourneyAtTheGuard) {
   expect_journey_ended_by_guard_drop(bed.sim, ip, 6001);
 }
 
+TEST(TcpScheme, ProxiedQueryDropIsInTheTraceRing) {
+  // A drop on the TCP proxy path has no packet to trace; it is recorded
+  // under the connection's remote endpoint (info = remote port).
+  NatBed bed([](RemoteGuardNode::Config& gc) {
+    gc.proxy_conn_rate = 1e9;
+    gc.proxy_conn_burst = 1e9;
+    gc.rl2.per_host_rate = 1e-3;  // one verified query, then throttled
+    gc.rl2.per_host_burst = 1.0;
+  });
+  const Ipv4Address ip(10, 0, 2, 1);
+  PipeliningClient client(bed.sim, ip);
+  client.open(6000, 1);
+  bed.sim.run_for(milliseconds(10));
+  client.open(6001, 1);
+  bed.sim.run_for(milliseconds(10));
+  ASSERT_EQ(bed.guard->drop_counters().value(obs::DropReason::kRateLimited2),
+            1u);
+
+  std::size_t traced = 0;
+  for (const obs::TraceEntry& e : bed.guard->trace_ring().entries()) {
+    if (e.event != obs::TraceEvent::kDrop) continue;
+    ++traced;
+    EXPECT_EQ(e.reason, obs::DropReason::kRateLimited2);
+    EXPECT_EQ(e.src, ip.value());
+    EXPECT_EQ(e.dst, kAnsIp.value());
+    EXPECT_EQ(e.info, 6001);
+  }
+  EXPECT_EQ(traced, 1u) << bed.guard->trace_ring().dump("guard");
+}
+
 /// Median host time to close one proxied connection while `others`
 /// other connections each hold a live NAT entry.
 double median_close_ns(int others) {

@@ -2,6 +2,13 @@
 // two rate limiters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <random>
+#include <unordered_map>
+#include <vector>
+
 #include "ratelimit/limiters.h"
 #include "ratelimit/token_bucket.h"
 #include "ratelimit/topk.h"
@@ -175,6 +182,123 @@ TEST(SpaceSaving, TopIsSortedByCount) {
   ASSERT_GE(top.size(), 3u);
   EXPECT_EQ(top[0].key, 1);
   EXPECT_EQ(top[1].key, 2);
+}
+
+/// Space-Saving as it was before the heap: a hash map to entry index and
+/// a linear scan for the lowest-index minimum-count victim.
+class LinearScanSpaceSaving {
+ public:
+  explicit LinearScanSpaceSaving(std::size_t capacity) : capacity_(capacity) {}
+
+  std::uint64_t record(int key) {
+    auto it = index_.find(key);
+    if (it != index_.end()) return ++entries_[it->second].count;
+    if (entries_.size() < capacity_) {
+      entries_.push_back(Entry{key, 1, 0});
+      index_.emplace(key, entries_.size() - 1);
+      return 1;
+    }
+    std::size_t victim = 0;
+    for (std::size_t i = 1; i < entries_.size(); ++i) {
+      if (entries_[i].count < entries_[victim].count) victim = i;
+    }
+    Entry& e = entries_[victim];
+    index_.erase(e.key);
+    e.key = key;
+    e.error = e.count;
+    e.count = e.error + 1;
+    index_.emplace(key, victim);
+    return e.count;
+  }
+  [[nodiscard]] std::uint64_t estimate(int key) const {
+    auto it = index_.find(key);
+    return it == index_.end() ? 0 : entries_[it->second].count;
+  }
+  [[nodiscard]] std::uint64_t error(int key) const {
+    auto it = index_.find(key);
+    return it == index_.end() ? 0 : entries_[it->second].error;
+  }
+  /// The same sort over entries in slot order, so a different victim
+  /// shows up as a different sequence.
+  [[nodiscard]] std::vector<SpaceSaving<int>::Item> top() const {
+    std::vector<SpaceSaving<int>::Item> out;
+    for (const Entry& e : entries_) out.push_back({e.key, e.count, e.error});
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.count > b.count; });
+    return out;
+  }
+
+ private:
+  struct Entry {
+    int key;
+    std::uint64_t count;
+    std::uint64_t error;
+  };
+  std::size_t capacity_;
+  std::vector<Entry> entries_;
+  std::unordered_map<int, std::size_t> index_;
+};
+
+TEST(SpaceSaving, MatchesLinearScanVictimsOnSeededStream) {
+  for (const std::size_t capacity : {1u, 7u, 64u}) {
+    SpaceSaving<int> ss(capacity);
+    LinearScanSpaceSaving ref(capacity);
+    std::mt19937 rng(20061u + static_cast<unsigned>(capacity));
+    // A Zipf-ish mix: a few heavy keys over a wide tail of one-offs, so
+    // counts tie often and the lowest-index tie-break is exercised.
+    std::uniform_int_distribution<int> heavy(0, 9);
+    std::uniform_int_distribution<int> tail(10, 5000);
+    std::bernoulli_distribution pick_heavy(0.3);
+    for (int step = 0; step < 20000; ++step) {
+      const int key = pick_heavy(rng) ? heavy(rng) : tail(rng);
+      ASSERT_EQ(ss.record(key), ref.record(key)) << "step " << step;
+      ASSERT_EQ(ss.estimate(key), ref.estimate(key));
+      ASSERT_EQ(ss.error(key), ref.error(key));
+      if (step % 97 == 0) {
+        const auto got = ss.top();
+        const auto want = ref.top();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].key, want[i].key) << "step " << step;
+          ASSERT_EQ(got[i].count, want[i].count);
+          ASSERT_EQ(got[i].error, want[i].error);
+        }
+      }
+    }
+  }
+}
+
+/// Median host time of one evicting record() into a full tracker of
+/// `capacity` entries, over 9 batches of fresh keys.
+double median_evicting_record_ns(std::size_t capacity) {
+  SpaceSaving<int> ss(capacity);
+  int next = 0;
+  for (std::size_t i = 0; i < capacity; ++i) ss.record(next++);
+  constexpr int kBatches = 9;
+  constexpr int kPerBatch = 2000;
+  std::vector<double> ns;
+  std::uint64_t sink = 0;
+  for (int b = 0; b < kBatches; ++b) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kPerBatch; ++i) sink += ss.record(next++);
+    const auto t1 = std::chrono::steady_clock::now();
+    ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                 kPerBatch);
+  }
+  EXPECT_GT(sink, 0u);
+  EXPECT_EQ(ss.size(), capacity);
+  std::nth_element(ns.begin(), ns.begin() + kBatches / 2, ns.end());
+  return ns[kBatches / 2];
+}
+
+TEST(SpaceSaving, EvictionCostDoesNotGrowWithCapacity) {
+  // Every record of an unseen key into a full tracker evicts; the victim
+  // used to be found by scanning all `capacity` entries.
+  const double small = median_evicting_record_ns(1u << 6);
+  const double large = median_evicting_record_ns(1u << 12);
+  EXPECT_LT(large, 4.0 * small)
+      << "evicting record at 2^6: " << small << " ns, at 2^12: " << large
+      << " ns";
 }
 
 TEST(CookieResponseLimiter, LightRequestersNeverThrottled) {
