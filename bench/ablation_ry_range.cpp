@@ -46,9 +46,10 @@ Result run_subnet_spray(std::uint32_t r_y) {
 
   auto attacker = std::make_unique<attack::CookieGuessNode>(
       bed.sim, "sprayer",
-      attack::FloodNodeBase::Config{.own_address = net::Ipv4Address(10, 9, 9, 8),
-                                    .target = {kAnsIp, net::kDnsPort},
-                                    .rate = 100000},
+      attack::FloodNodeBase::Config{
+          .own_address = net::Ipv4Address(10, 9, 9, 8),
+          .target = {kAnsIp, net::kDnsPort},
+          .rate = 100000},
       attack::CookieGuessNode::GuessConfig{
           .mode = attack::CookieGuessNode::Mode::SubnetAddress,
           .victim = net::Ipv4Address(10, 99, 0, 1),
@@ -69,9 +70,10 @@ Result run_label_guess() {
   bed.make_guard(guard::Scheme::NsName);
   auto attacker = std::make_unique<attack::CookieGuessNode>(
       bed.sim, "guesser",
-      attack::FloodNodeBase::Config{.own_address = net::Ipv4Address(10, 9, 9, 8),
-                                    .target = {kAnsIp, net::kDnsPort},
-                                    .rate = 100000},
+      attack::FloodNodeBase::Config{
+          .own_address = net::Ipv4Address(10, 9, 9, 8),
+          .target = {kAnsIp, net::kDnsPort},
+          .rate = 100000},
       attack::CookieGuessNode::GuessConfig{
           .mode = attack::CookieGuessNode::Mode::NsNameLabel,
           .victim = net::Ipv4Address(10, 99, 0, 1),

@@ -149,11 +149,12 @@ int main() {
     Amplification amp = measure_amplification(p.scheme);
     long extra = static_cast<long>(amp.response_bytes) -
                  static_cast<long>(amp.request_bytes);
+    const auto bytes = [](auto n) {
+      return TablePrinter::num(static_cast<double>(n), 0);
+    };
     check.print_row({p.label, TablePrinter::num(miss, 1),
-                     TablePrinter::num(hit, 1),
-                     TablePrinter::num(static_cast<double>(amp.request_bytes), 0),
-                     TablePrinter::num(static_cast<double>(amp.response_bytes), 0),
-                     TablePrinter::num(static_cast<double>(extra), 0)});
+                     TablePrinter::num(hit, 1), bytes(amp.request_bytes),
+                     bytes(amp.response_bytes), bytes(extra)});
   }
   std::printf(
       "\nPaper bounds: DNS-based amplification < 50%% (+24 B); TCP-based "

@@ -56,8 +56,8 @@ int main() {
        11.1, guard::Scheme::NsName},
       {"dns-based/fabricated", DriveMode::FabricatedMiss,
        DriveMode::FabricatedHit, 34.5, 11.3, guard::Scheme::FabricatedNsIp},
-      {"tcp-based", DriveMode::TcpWithRedirect, DriveMode::TcpWithRedirect, 32.1,
-       33.7, guard::Scheme::TcpRedirect},
+      {"tcp-based", DriveMode::TcpWithRedirect, DriveMode::TcpWithRedirect,
+       32.1, 33.7, guard::Scheme::TcpRedirect},
       {"modified-dns", DriveMode::ModifiedMiss, DriveMode::ModifiedHit, 22.4,
        10.8, guard::Scheme::ModifiedDns},
   };

@@ -55,9 +55,11 @@ std::string describe(const net::Packet& p) {
 
 void walkthrough(guard::Scheme scheme, workload::DriveMode mode,
                  const char* title) {
-  std::printf("================================================================\n");
+  std::printf(
+      "================================================================\n");
   std::printf("%s\n", title);
-  std::printf("================================================================\n");
+  std::printf(
+      "================================================================\n");
 
   sim::Simulator sim;
   sim.set_default_latency(microseconds(200));

@@ -65,15 +65,6 @@ enum class EvictReason : std::uint8_t {
   kIdle,      // not touched for longer than the idle timeout
 };
 
-[[nodiscard]] constexpr std::string_view evict_reason_name(EvictReason r) {
-  switch (r) {
-    case EvictReason::kCapacity: return "capacity";
-    case EvictReason::kTtl: return "ttl";
-    case EvictReason::kIdle: return "idle";
-  }
-  return "?";
-}
-
 /// Counter/gauge cells for one table; bind() attaches them under
 /// "<prefix>.size", "<prefix>.evicted_capacity", ... so every bounded
 /// table in the system exports the same shape.

@@ -22,7 +22,7 @@ std::uint16_t ByteReader::u16() {
     pos_ = data_.size();
     return 0;
   }
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_] << 8 | data_[pos_ + 1]);
+  auto v = static_cast<std::uint16_t>(data_[pos_] << 8 | data_[pos_ + 1]);
   pos_ += 2;
   return v;
 }

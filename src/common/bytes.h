@@ -39,7 +39,7 @@ class ByteWriter {
     buf_.push_back(static_cast<std::uint8_t>(v >> 8));
     buf_.push_back(static_cast<std::uint8_t>(v));
   }
-  void raw(BytesView bytes) { buf_.insert(buf_.end(), bytes.begin(), bytes.end()); }
+  void raw(BytesView b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
   void raw(std::string_view s) {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }

@@ -17,7 +17,7 @@ std::uint16_t internet_checksum(BytesView data) {
 
 void Ipv4Header::encode(ByteWriter& w, std::size_t payload_size) const {
   std::size_t start = w.size();
-  std::uint16_t total = static_cast<std::uint16_t>(kIpv4HeaderSize + payload_size);
+  auto total = static_cast<std::uint16_t>(kIpv4HeaderSize + payload_size);
   w.u8(0x45);  // version 4, IHL 5
   w.u8(0);     // DSCP/ECN
   w.u16(total);

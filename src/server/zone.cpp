@@ -189,7 +189,8 @@ Answer AuthoritativeEngine::answer(const dns::Message& query) const {
     }
     auto cnames = zone->find(current, dns::RrType::CNAME);
     if (!cnames.empty() && q->qtype != dns::RrType::CNAME) {
-      const auto& target = std::get<dns::CnameRdata>(cnames.front().rdata).target;
+      const auto& target =
+          std::get<dns::CnameRdata>(cnames.front().rdata).target;
       out.message.answers.push_back(cnames.front());
       current = target;
       if (++chase > 8 || !current.is_subdomain_of(zone->origin())) {

@@ -101,7 +101,8 @@ std::vector<Line> tokenize(std::string_view text, std::string* error,
       continue;
     }
     std::string word;
-    while (i < text.size() && !std::isspace(static_cast<unsigned char>(text[i])) &&
+    while (i < text.size() &&
+           !std::isspace(static_cast<unsigned char>(text[i])) &&
            text[i] != ';' && text[i] != '(' && text[i] != ')') {
       word.push_back(text[i++]);
     }

@@ -38,9 +38,9 @@ std::uint32_t SynCookieGenerator::make(net::SocketAddr client,
                                        net::SocketAddr server,
                                        std::uint32_t client_isn,
                                        SimTime now) const {
-  std::uint64_t slot =
-      static_cast<std::uint64_t>(now.ns / slot_length_.ns);
-  std::uint32_t slot_bits = static_cast<std::uint32_t>(slot & ((1u << kSlotBits) - 1));
+  std::uint64_t slot = static_cast<std::uint64_t>(now.ns / slot_length_.ns);
+  std::uint32_t slot_bits =
+      static_cast<std::uint32_t>(slot & ((1u << kSlotBits) - 1));
   return (slot_bits << (32 - kSlotBits)) |
          hash(client, server, client_isn, slot);
 }

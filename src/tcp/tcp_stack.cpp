@@ -390,7 +390,9 @@ std::vector<Bytes> StreamFramer::push(BytesView data) {
                      buf_.begin() + static_cast<std::ptrdiff_t>(pos + 2 + len));
     pos += 2 + len;
   }
-  if (pos > 0) buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos));
+  if (pos > 0) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos));
+  }
   return out;
 }
 

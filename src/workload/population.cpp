@@ -35,15 +35,15 @@ constexpr std::uint64_t kPrimedSalt = 0xc0'01'c0'0cULL;
 
 double inverse_normal_cdf(double p) {
   // Acklam's rational approximation (|relative error| < 1.2e-9).
-  static constexpr double a[6] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                                  -2.759285104469687e+02, 1.383577518672690e+02,
-                                  -3.066479806614716e+01, 2.506628277459239e+00};
+  static constexpr double a[6] = {
+      -3.969683028665376e+01, 2.209460984245205e+02,  -2.759285104469687e+02,
+      1.383577518672690e+02,  -3.066479806614716e+01, 2.506628277459239e+00};
   static constexpr double b[5] = {-5.447609879822406e+01, 1.615858368580409e+02,
                                   -1.556989798598866e+02, 6.680131188771972e+01,
                                   -1.328068155288572e+01};
-  static constexpr double c[6] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                                  -2.400758277161838e+00, -2.549732539343734e+00,
-                                  4.374664141464968e+00,  2.938163982698783e+00};
+  static constexpr double c[6] = {
+      -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+      -2.549732539343734e+00, 4.374664141464968e+00,  2.938163982698783e+00};
   static constexpr double d[4] = {7.784695709041462e-03, 3.224671290700398e-01,
                                   2.445134137142996e+00, 3.754408661907416e+00};
   constexpr double p_low = 0.02425;

@@ -81,7 +81,8 @@ TEST(BindNode, OversizeUdpResponseTruncated) {
   Bed bed;
   Zone big(dns::DomainName{});
   for (int i = 0; i < 40; ++i) {
-    big.add_a("big.example.", Ipv4Address(192, 0, 3, static_cast<std::uint8_t>(i)));
+    big.add_a("big.example.",
+              Ipv4Address(192, 0, 3, static_cast<std::uint8_t>(i)));
   }
   bed.ans->add_zone(std::move(big));
   auto resp = bed.ask(dns::Message::query(

@@ -43,7 +43,8 @@ TEST(CompressionEdge, MaxJumpBudgetEnforced) {
   std::vector<std::size_t> offsets{0};
   for (int i = 0; i < 40; ++i) {
     offsets.push_back(w.size());
-    w.u16(static_cast<std::uint16_t>(0xc000 | offsets[static_cast<std::size_t>(i)]));
+    w.u16(static_cast<std::uint16_t>(
+        0xc000 | offsets[static_cast<std::size_t>(i)]));
   }
   Cursor r(w.view());
   r.skip(offsets.back());

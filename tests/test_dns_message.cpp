@@ -286,8 +286,8 @@ TEST_P(MessageFuzzRoundTrip, Identity) {
                                ttl);
         break;
       case 1:
-        rr = ResourceRecord::ns(owner, *DomainName::parse(names[rng.bounded(7)]),
-                                ttl);
+        rr = ResourceRecord::ns(
+            owner, *DomainName::parse(names[rng.bounded(7)]), ttl);
         break;
       case 2:
         rr = ResourceRecord::cname(owner,

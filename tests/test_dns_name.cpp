@@ -49,7 +49,8 @@ TEST(DomainName, RejectsOversizeName) {
 }
 
 TEST(DomainName, CaseInsensitiveEquality) {
-  EXPECT_EQ(*DomainName::parse("WWW.Foo.COM"), *DomainName::parse("www.foo.com"));
+  EXPECT_EQ(*DomainName::parse("WWW.Foo.COM"),
+            *DomainName::parse("www.foo.com"));
 }
 
 TEST(DomainName, SubdomainRelation) {

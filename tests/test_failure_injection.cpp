@@ -29,7 +29,8 @@ struct Bed {
   Bed() {
     auto h = server::make_example_hierarchy(kRootIp, kComIp, kFooIp);
     root = std::make_unique<server::AuthoritativeServerNode>(
-        sim, "root", server::AuthoritativeServerNode::Config{.address = kRootIp});
+        sim, "root",
+        server::AuthoritativeServerNode::Config{.address = kRootIp});
     com = std::make_unique<server::AuthoritativeServerNode>(
         sim, "com", server::AuthoritativeServerNode::Config{.address = kComIp});
     foo = std::make_unique<server::AuthoritativeServerNode>(

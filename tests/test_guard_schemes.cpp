@@ -200,7 +200,7 @@ TEST(FabricatedScheme, SubnetSprayPenetratesAtOneOverRy) {
   EXPECT_LT(ratio, 0.02);
 }
 
-// --- TCP-based scheme ---------------------------------------------------------
+// --- TCP-based scheme --------------------------------------------------------
 
 TEST(TcpScheme, RedirectAndProxyCompleteQueries) {
   GuardBed bed(Scheme::TcpRedirect, DriveMode::TcpWithRedirect, 4);
@@ -228,7 +228,7 @@ TEST(TcpScheme, ProxyConnectionsAreCleanedUp) {
   EXPECT_LE(bed.guard->proxy_connections(), 8u);
 }
 
-// --- modified-DNS scheme -------------------------------------------------------
+// --- modified-DNS scheme -----------------------------------------------------
 
 // A server that never answers: proxied queries stay in flight, so the
 // guard's NAT entries stay live (collision tests) or go stale (reap
@@ -671,7 +671,7 @@ TEST(ModifiedScheme, StrippedBeforeAns) {
             bed.driver->driver_stats().completed + 2);
 }
 
-// --- activation threshold (§IV.C) ---------------------------------------------
+// --- activation threshold (§IV.C) --------------------------------------------
 
 TEST(ActivationThreshold, PassThroughBelowThreshold) {
   // Threshold far above the driver's offered rate: the guard must not
@@ -704,7 +704,7 @@ TEST(ActivationThreshold, KicksInUnderFlood) {
             attacker.flood_stats().sent / 2);
 }
 
-// --- rate limiters in situ -----------------------------------------------------
+// --- rate limiters in situ ---------------------------------------------------
 
 TEST(RateLimiter2, ThrottlesVerifiedZombie) {
   GuardBed bed(Scheme::ModifiedDns, DriveMode::ModifiedHit, 1, 0.0,

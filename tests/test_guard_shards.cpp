@@ -191,7 +191,8 @@ TEST(ShardEquivalence, CounterTotalsInvariantAcrossShardCounts) {
   EXPECT_GT(one.completed, 100u);
   EXPECT_GT(one.spoofs_dropped, 1000u);
   for (std::size_t n : {std::size_t{2}, std::size_t{8}}) {
-    for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+    for (std::size_t batch :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
       const std::string label = "1 vs " + std::to_string(n) +
                                 " shards, burst " + std::to_string(batch);
       RunOutcome many = run_workload(n, 42, batch);

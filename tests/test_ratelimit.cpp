@@ -397,7 +397,8 @@ TEST(VerifiedRequestLimiter, TableBoundRefusesOverflowHosts) {
       .per_host_rate = 10.0, .per_host_burst = 5.0, .max_hosts = 4});
   SimTime t{};
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(rl2.allow(Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(i)), t));
+    EXPECT_TRUE(
+        rl2.allow(Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(i)), t));
   }
   EXPECT_FALSE(rl2.allow(Ipv4Address(10, 0, 0, 200), t));
   EXPECT_EQ(rl2.tracked_hosts(), 4u);

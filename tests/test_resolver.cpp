@@ -228,7 +228,8 @@ TEST(Resolver, TruncationFallsBackToTcp) {
   // A name with enough A records that the UDP response exceeds 512 bytes.
   Zone big(*DomainName::parse("foo.com"));
   for (int i = 0; i < 40; ++i) {
-    big.add_a("big.foo.com.", Ipv4Address(192, 0, 3, static_cast<std::uint8_t>(i)));
+    big.add_a("big.foo.com.",
+              Ipv4Address(192, 0, 3, static_cast<std::uint8_t>(i)));
   }
   t.foo->add_zone(std::move(big));
 

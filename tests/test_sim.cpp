@@ -266,8 +266,9 @@ TEST(CpuModel, SaturationDropsAtFullQueue) {
                                       Ipv4Address(10, 0, 0, 2)));
   }
   sim.run_all();
-  for (const ProbeNode* server : {static_cast<const ProbeNode*>(&one_lane),
-                                  static_cast<const ProbeNode*>(&three_lanes)}) {
+  for (const ProbeNode* server :
+       {static_cast<const ProbeNode*>(&one_lane),
+        static_cast<const ProbeNode*>(&three_lanes)}) {
     EXPECT_EQ(server->stats().rx, 5u) << server->name();
     EXPECT_EQ(server->stats().dropped_queue_full, 95u) << server->name();
     EXPECT_EQ(server->arrivals.size(), 5u) << server->name();

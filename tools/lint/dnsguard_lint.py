@@ -232,8 +232,9 @@ SHARD_PER_SOURCE_DECL = re.compile(
 # but a cross-shard leak on the packet path.
 SHARD_LITERAL_INDEX = re.compile(r"\bshards_\s*\[\s*\d+\s*\]")
 # Functions whose bodies (and transitive callees) form the sharded packet
-# path: the per-packet service entry and the lane service loop.
-SHARD_PATH_ROOTS = ("process", "serve_lane")
+# path: the per-packet entries (a node's process, the guard core's step)
+# and the lane service loop.
+SHARD_PATH_ROOTS = ("process", "step", "serve_lane")
 
 # --- determinism -----------------------------------------------------------
 DETERMINISM_PATTERNS = (
@@ -781,7 +782,7 @@ def check_shard_isolation(sources):
          shardsafe annotation marks deliberately global members (the TCP
          framer table, a cookie key schedule).
       2. packet-path dataflow: BFS over the unit's call graph from the
-         packet-path roots (process / serve_lane); any function
+         packet-path roots (process / step / serve_lane); any function
          reached may not index `shards_` with a hard-coded constant —
          cold setup code (constructors, bind_metrics) legitimately pins
          shard 0, but on the packet path that is a cross-shard leak."""

@@ -32,6 +32,7 @@ CASES = [
     ("sim_time_fail.cpp", "sim-time-purity", 1),
     ("shard_isolation_pass.cpp", "shard-isolation", 0),
     ("shard_isolation_fail.cpp", "shard-isolation", 1),
+    ("shard_isolation_step_fail.cpp", "shard-isolation", 1),
     ("determinism_pass.cpp", "determinism", 0),
     ("determinism_fail.cpp", "determinism", 1),
     ("decode_bounds_pass.cpp", "decode-bounds", 0),
