@@ -457,7 +457,7 @@ void Core::handle_request(const net::Packet& packet, dns::Message& query) {
       do_fabricated_ns_ip(packet, query, packet.dst_ip != config_.ans_address);
       return;
     case Scheme::TcpRedirect:
-      do_tcp_redirect(packet, query);
+      if (admit_rl1(packet)) do_tcp_redirect(packet, query);
       return;
   }
 }
@@ -529,13 +529,13 @@ void Core::do_ns_name(const net::Packet& packet, dns::Message& query) {
   }
 
   // msg 1 -> msg 2: fabricate a referral whose NS name embeds the cookie.
+  if (!admit_rl1(packet)) return;
   if (q.qname.label_count() <= zone.label_count()) {
     // Query for the zone apex itself: nothing to refer to; use the TCP
     // fallback so the request can still be served spoof-checked.
     do_tcp_redirect(packet, query);
     return;
   }
-  if (!admit_rl1(packet)) return;
   refer_to_cookie_ns(packet, query, Scheme::NsName,
                      q.qname.suffix(zone.label_count() + 1), zone);
 }
@@ -631,7 +631,6 @@ void Core::do_fabricated_ns_ip(const net::Packet& packet,
 
 void Core::do_tcp_redirect(const net::Packet& packet,
                            const dns::Message& query) {
-  if (!admit_rl1(packet)) return;
   out_.reset_response_to(query);
   out_.header.tc = true;  // same size as the request: no amplification
   stats_.tc_redirects++;
@@ -664,80 +663,68 @@ void Core::forget_nat_port(tcp::ConnId conn, std::uint16_t port) {
   if (ProxyConn* pc = proxy_conns_.find(conn, now_)) pc->remove_port(port);
 }
 
-void Core::proxy_on_data(tcp::ConnId conn, BytesView data) {
-  auto ins = proxy_conns_.try_emplace(conn, now_);
-  if (ins.value == nullptr) {
-    // Refused insert (only possible if eviction were disabled): reset the
-    // connection instead of carrying unframeable stream state.
-    drop_proxied(conn, obs::DropReason::kStateTableFull);
-    tcp_->abort(conn);
+void Core::proxy_on_data(tcp::ConnId conn, BytesView message) {
+  if (!dns::Message::decode_into(message, request_) ||
+      request_.header.qr || request_.question() == nullptr) {
+    stats_.malformed++;
+    drop_proxied(conn, obs::DropReason::kMalformed);
     return;
   }
-  for (Bytes& msg : ins.value->framer.push(data)) {
-    if (!dns::Message::decode_into(BytesView(msg), request_) ||
-        request_.header.qr || request_.question() == nullptr) {
-      stats_.malformed++;
-      drop_proxied(conn, obs::DropReason::kMalformed);
-      continue;
-    }
-    auto remote = tcp_->remote_of(conn);
-    if (!remote) continue;
-    const dns::Message& query = request_;
-    if (journeys_.enabled()) {
-      // Merge the TCP-handshake journey (keyed by the client endpoint)
-      // with the DNS query it carried.
-      cur_jkey_ = {remote->ip.value(), query.header.id,
-                   query.question()->qname.hash32()};
-      cur_jkey_valid_ = true;
-      journeys_.alias({remote->ip.value(), remote->port, 0}, cur_jkey_);
-      jmark("guard.proxy_query");
-    }
-    // TCP handshake completion already proved the source address; still
-    // apply Rate-Limiter2 like any verified requester.
-    if (!cur_shard_->rl2.allow(remote->ip, now_)) {
-      stats_.rl2_throttled++;
-      drop_proxied(conn, obs::DropReason::kRateLimited2);
-      jend("guard.drop", /*ok=*/false);
-      continue;
-    }
-    stats_.proxy_queries++;
-    DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardNat);
-    // Convert to UDP toward the ANS, NATed to the guard's own address.
-    // Source-port allocation probes past ports with a live NAT entry, so a
-    // collision never orphans an in-flight query. Expired entries are
-    // reaped on the same path. Candidates stay inside the shard's disjoint
-    // port range so the ANS reply routes back here.
-    Shard& sh = *cur_shard_;
-    sh.nat.reap(now_, 16);
-    std::optional<std::uint16_t> port;
-    for (int probe = 0; probe < config_.nat_port_probe_limit; ++probe) {
-      const std::uint16_t candidate = sh.next_nat_port++;
-      if (sh.next_nat_port < sh.nat_port_base ||
-          sh.next_nat_port >= sh.nat_port_limit) {
-        sh.next_nat_port = sh.nat_port_base;
-      }
-      auto r = sh.nat.try_emplace(candidate, now_, conn);
-      if (r.inserted) {
-        port = candidate;
-        break;
-      }
-      if (r.value == nullptr) break;  // table refused the insert
-    }
-    if (!port) {
-      drop_proxied(conn, obs::DropReason::kStateTableFull);
-      jend("guard.drop", /*ok=*/false);
-      continue;
-    }
-    // Looked up again: the inserts above may have evicted entries and
-    // closed connections, so an earlier record pointer can be stale.
-    if (ProxyConn* pc = proxy_conns_.find(conn, now_)) pc->add_port(*port);
-    charge(config_.costs.transform);
-    stats_.forwarded_to_ans++;
-    emit(Dest::kAns, net::Packet::make_udp(
-                         {config_.guard_address, *port},
-                         {config_.ans_address, net::kDnsPort},
-                         query.encode_pooled()));
+  auto remote = tcp_->remote_of(conn);
+  if (!remote) return;
+  const dns::Message& query = request_;
+  if (journeys_.enabled()) {
+    // Merge the TCP-handshake journey (keyed by the client endpoint)
+    // with the DNS query it carried.
+    cur_jkey_ = {remote->ip.value(), query.header.id,
+                 query.question()->qname.hash32()};
+    cur_jkey_valid_ = true;
+    journeys_.alias({remote->ip.value(), remote->port, 0}, cur_jkey_);
+    jmark("guard.proxy_query");
   }
+  // TCP handshake completion already proved the source address; still
+  // apply Rate-Limiter2 like any verified requester.
+  if (!cur_shard_->rl2.allow(remote->ip, now_)) {
+    stats_.rl2_throttled++;
+    drop_proxied(conn, obs::DropReason::kRateLimited2);
+    jend("guard.drop", /*ok=*/false);
+    return;
+  }
+  stats_.proxy_queries++;
+  DNSGUARD_PROF_SCOPE(obs::prof::Stage::kGuardNat);
+  // Convert to UDP toward the ANS, NATed to the guard's own address.
+  // Source-port allocation probes past ports with a live NAT entry, so a
+  // collision never orphans an in-flight query. Expired entries are
+  // reaped on the same path. Candidates stay inside the shard's disjoint
+  // port range so the ANS reply routes back here.
+  Shard& sh = *cur_shard_;
+  sh.nat.reap(now_, 16);
+  std::optional<std::uint16_t> port;
+  for (int probe = 0; probe < config_.nat_port_probe_limit; ++probe) {
+    const std::uint16_t candidate = sh.next_nat_port++;
+    if (sh.next_nat_port < sh.nat_port_base ||
+        sh.next_nat_port >= sh.nat_port_limit) {
+      sh.next_nat_port = sh.nat_port_base;
+    }
+    auto r = sh.nat.try_emplace(candidate, now_, conn);
+    if (r.inserted) {
+      port = candidate;
+      break;
+    }
+    if (r.value == nullptr) break;  // table refused the insert
+  }
+  if (!port) {
+    drop_proxied(conn, obs::DropReason::kStateTableFull);
+    jend("guard.drop", /*ok=*/false);
+    return;
+  }
+  // The record evicts its LRU peer when full, so the insert always lands.
+  proxy_conns_.try_emplace(conn, now_).value->add_port(*port);
+  charge(config_.costs.transform);
+  stats_.forwarded_to_ans++;
+  emit(Dest::kAns, net::Packet::make_udp({config_.guard_address, *port},
+                                         {config_.ans_address, net::kDnsPort},
+                                         query.encode_pooled()));
 }
 
 void Core::handle_proxy_nat_response(const net::Packet& packet) {
@@ -761,8 +748,7 @@ void Core::handle_proxy_nat_response(const net::Packet& packet) {
   forget_nat_port(conn, port);
   charge(config_.costs.transform);
   stats_.responses_relayed++;
-  tcp_->send_data(
-      conn, BytesView(tcp::StreamFramer::frame(BytesView(packet.payload))));
+  tcp_->send_message(conn, BytesView(packet.payload));
   // DNS-over-TCP here is one query per connection; closing after the
   // response keeps the proxy's connection table small (§III.C's concern).
   tcp_->close(conn);

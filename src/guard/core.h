@@ -260,6 +260,8 @@ class Core {
   void do_ns_name(const net::Packet& packet, dns::Message& query);
   void do_fabricated_ns_ip(const net::Packet& packet,
                            const dns::Message& query, bool to_subnet);
+  /// Replies with TC set. The caller has already admitted the request
+  /// through Rate-Limiter1, which charges each request once.
   void do_tcp_redirect(const net::Packet& packet, const dns::Message& query);
   /// msg 1 -> msg 2 of both DNS-based variants: refers `owner` to a
   /// fabricated server under `parent` whose label embeds the cookie
@@ -312,14 +314,14 @@ class Core {
   }
 
   // --- TCP proxy ---
-  void proxy_on_data(tcp::ConnId conn, BytesView data);
+  /// One DNS query the stack reassembled from `conn`.
+  void proxy_on_data(tcp::ConnId conn, BytesView message);
 
-  /// One proxied TCP connection: its DNS framing buffer and the NAT ports
-  /// of its queries still awaiting the ANS. Every NAT erase (reply, TTL or
+  /// The NAT ports of one proxied connection's queries still awaiting the
+  /// ANS, recorded when a port is allocated. Every NAT erase (reply, TTL or
   /// capacity eviction) drops the port here too, so closing the connection
   /// erases exactly its own entries.
   struct ProxyConn {
-    tcp::StreamFramer framer;
     /// One query per connection is the norm; only pipelined queries spill.
     static constexpr std::size_t kInlinePorts = 3;
     std::array<std::uint16_t, kInlinePorts> ports{};

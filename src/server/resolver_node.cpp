@@ -13,12 +13,7 @@ RecursiveResolverNode::RecursiveResolverNode(sim::Simulator& sim,
       tasks_({.capacity = config_.max_inflight_tasks,
               .evict_lru_when_full = false}),
       pending_({.capacity = config_.max_pending_queries,
-                .evict_lru_when_full = false}),
-      // One entry per in-flight TCP fallback leg; a pending query backs
-      // each, so the same cap applies. LRU eviction just abandons the
-      // oldest leg's framing buffer — the query itself still times out.
-      tcp_queries_({.capacity = config_.max_pending_queries,
-                    .evict_lru_when_full = true}) {
+                .evict_lru_when_full = false}) {
   set_profile_stage(obs::prof::Stage::kResolverService);
   tcp_ = std::make_unique<tcp::TcpStack>(
       [this](net::Packet p) { send(std::move(p)); },
@@ -26,10 +21,12 @@ RecursiveResolverNode::RecursiveResolverNode(sim::Simulator& sim,
       tcp::TcpStack::Callbacks{
           .on_established = {},
           .on_data = [this](tcp::ConnId id,
-                            BytesView data) { on_tcp_data(id, data); },
-          .on_closed = [this](tcp::ConnId id) { tcp_queries_.erase(id); },
+                            BytesView msg) { on_tcp_response(id, msg); },
       },
-      tcp::TcpStack::Options{});
+      // A pending query backs each TCP fallback leg, so the same cap
+      // applies. Evicting the oldest leg just abandons it; its query
+      // still times out.
+      tcp::TcpStack::Options{.max_connections = config_.max_pending_queries});
   // TCP fallback legs are keyed by our client-side endpoint (address,
   // ephemeral port); start_tcp_query aliases them onto the task journey.
   tcp_->set_journey_fn([this](net::SocketAddr client, std::string_view stage) {
@@ -42,7 +39,6 @@ RecursiveResolverNode::RecursiveResolverNode(sim::Simulator& sim,
   tcp_->bind_metrics(this->sim().metrics(), "server.lrs.tcp");
   tasks_.bind_metrics(this->sim().metrics(), "server.lrs.tasks");
   pending_.bind_metrics(this->sim().metrics(), "server.lrs.pending");
-  tcp_queries_.bind_metrics(this->sim().metrics(), "server.lrs.tcp_queries");
 }
 
 void RecursiveResolverNode::resolve(const dns::DomainName& qname,
@@ -336,7 +332,7 @@ bool RecursiveResolverNode::handle_response(const dns::Message& response,
     std::uint64_t gen = pq.timer_generation;
     schedule_in(config_.retry_timeout * 2,
                 [this, qid, gen] { on_timeout(qid, gen); });
-    start_tcp_query(*tc_task, from_server);
+    start_tcp_query(*tc_task, from_server, qid);
     return true;
   }
 
@@ -491,8 +487,9 @@ void RecursiveResolverNode::complete(std::uint64_t task_id, bool ok,
   }
 }
 
-void RecursiveResolverNode::start_tcp_query(Task& task,
-                                            net::Ipv4Address server) {
+void RecursiveResolverNode::start_tcp_query(const Task& task,
+                                            net::Ipv4Address server,
+                                            std::uint16_t qid) {
   net::SocketAddr local{config_.address, next_ephemeral_port_++};
   if (next_ephemeral_port_ < 10000) next_ephemeral_port_ = 10000;
   if (task.has_jkey && sim().journeys().enabled()) {
@@ -502,57 +499,17 @@ void RecursiveResolverNode::start_tcp_query(Task& task,
     jt.alias(task.jkey, {local.ip.value(), local.port, 0});
     jt.mark(task.jkey, "lrs.tcp_fallback", now());
   }
-  tcp::ConnId conn = tcp_->connect(local, {server, net::kDnsPort});
-
-  // Find the pending query id for this task to resend over TCP.
-  std::uint16_t qid = 0;
-  pending_.for_each([&](const std::uint16_t& id, const PendingQuery& pq) {
-    if (qid == 0 && pq.task_id == task.id) qid = id;
-  });
-  if (qid == 0) {
-    tcp_->abort(conn);
-    return;
-  }
-  auto ins = tcp_queries_.try_emplace(conn, now());
-  if (ins.value == nullptr) {
-    tcp_->abort(conn);
-    return;
-  }
-  ins.value->query_id = qid;
-
+  // The same query id again, so the answer matches the pending entry.
   dns::Message query = dns::Message::query(qid, task.question.qname,
                                            task.question.qtype, false);
-  Bytes framed = tcp::StreamFramer::frame(query.encode());
-  // Send once established. Capture by value; the stack ignores sends on
-  // dead connections.
-  std::uint64_t task_id = task.id;
-  (void)task_id;
-  // Poll-free approach: TcpStack has no per-connection established hook
-  // with payload, so wire it through the general on_established callback
-  // is not possible post-construction; instead we piggyback: try now (it
-  // will fail silently), and also schedule a retry after the handshake
-  // RTT. Robust because send_data() is a no-op until ESTABLISHED.
-  tcp_try_send(conn, std::move(framed), 100);
+  tcp_->connect(local, {server, net::kDnsPort}, BytesView(query.encode()));
 }
 
-void RecursiveResolverNode::tcp_try_send(tcp::ConnId conn, Bytes framed,
-                                         int attempts_left) {
-  if (tcp_->send_data(conn, BytesView(framed))) return;
-  if (attempts_left <= 0) return;
-  schedule_in(milliseconds(1),
-              [this, conn, framed = std::move(framed), attempts_left] {
-                tcp_try_send(conn, framed, attempts_left - 1);
-              });
-}
-
-void RecursiveResolverNode::on_tcp_data(tcp::ConnId conn, BytesView data) {
-  TcpQuery* q = tcp_queries_.find(conn, now());
-  if (q == nullptr) return;
-  for (Bytes& msg : q->framer.push(data)) {
-    auto m = dns::Message::decode(BytesView(msg));
-    if (!m || !m->header.qr) continue;
-    auto remote = tcp_->remote_of(conn);
-    if (!remote) continue;
+void RecursiveResolverNode::on_tcp_response(tcp::ConnId conn,
+                                            BytesView message) {
+  auto m = dns::Message::decode(message);
+  auto remote = tcp_->remote_of(conn);
+  if (m && m->header.qr && remote) {
     handle_response(*m, remote->ip, /*via_tcp=*/true);
   }
   // One query per connection: close after the response arrives.

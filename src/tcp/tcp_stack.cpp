@@ -3,8 +3,15 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/pool.h"
 
 namespace dnsguard::tcp {
+namespace {
+
+/// The longest message a 2-byte length prefix can frame.
+constexpr std::size_t kMaxMessage = 0xffff;
+
+}  // namespace
 
 std::string tcp_state_name(TcpState s) {
   switch (s) {
@@ -123,9 +130,13 @@ void TcpStack::send_rst(const net::Packet& to_packet) {
        h.ack, h.seq + 1);
 }
 
-ConnId TcpStack::connect(net::SocketAddr local, net::SocketAddr remote) {
+ConnId TcpStack::connect(net::SocketAddr local, net::SocketAddr remote,
+                         BytesView first_message) {
   Connection& c = create(local, remote, TcpState::SynSent);
   c.client_role = true;
+  if (!first_message.empty() && first_message.size() <= kMaxMessage) {
+    c.buf = std::make_unique<Bytes>(first_message.begin(), first_message.end());
+  }
   if (journey_) journey_(local, "tcp.syn");
   c.snd_nxt = next_isn();
   emit(local, remote, net::TcpFlags{.syn = true}, c.snd_nxt, 0);
@@ -133,16 +144,56 @@ ConnId TcpStack::connect(net::SocketAddr local, net::SocketAddr remote) {
   return c.id;
 }
 
-bool TcpStack::send_data(ConnId id, BytesView data) {
+bool TcpStack::send_message(ConnId id, BytesView message) {
   auto it = by_id_.find(id);
-  if (it == by_id_.end()) return false;
+  if (it == by_id_.end() || message.size() > kMaxMessage) return false;
   Connection* c = find(it->second);
   if (c == nullptr || c->state != TcpState::Established) return false;
-  emit(c->local, c->remote, net::TcpFlags{.psh = true, .ack = true},
-       c->snd_nxt, c->rcv_nxt, Bytes(data.begin(), data.end()));
-  c->snd_nxt += static_cast<std::uint32_t>(data.size());
-  c->last_activity = clock_();
+  send_framed(*c, message);
   return true;
+}
+
+void TcpStack::send_framed(Connection& c, BytesView message) {
+  Bytes payload = BufferPool::local().acquire(message.size() + 2);
+  payload.push_back(static_cast<std::uint8_t>(message.size() >> 8));
+  payload.push_back(static_cast<std::uint8_t>(message.size()));
+  payload.insert(payload.end(), message.begin(), message.end());
+  const auto sent = static_cast<std::uint32_t>(payload.size());
+  emit(c.local, c.remote, net::TcpFlags{.psh = true, .ack = true},
+       c.snd_nxt, c.rcv_nxt, std::move(payload));
+  c.snd_nxt += sent;
+  c.last_activity = clock_();
+}
+
+TcpStack::Connection* TcpStack::deliver(Connection* c, BytesView data) {
+  const ConnKey key{c->local, c->remote};
+  const ConnId id = c->id;
+  // Bytes held from earlier segments move out of the connection, so a
+  // callback that destroys it leaves the message it was handed intact.
+  std::unique_ptr<Bytes> held = std::move(c->buf);
+  if (held) {
+    held->insert(held->end(), data.begin(), data.end());
+    data = *held;
+  }
+  while (data.size() >= 2) {
+    const std::size_t len = std::size_t{data[0]} << 8 | data[1];
+    if (data.size() - 2 < len) break;
+    if (callbacks_.on_data) callbacks_.on_data(id, data.subspan(2, len));
+    data = data.subspan(2 + len);
+    c = find(key);
+    if (c == nullptr || c->id != id) return nullptr;
+  }
+  // Keep the incomplete tail for the next segment.
+  if (!data.empty()) {
+    if (held) {
+      held->erase(held->begin(),
+                  held->end() - static_cast<std::ptrdiff_t>(data.size()));
+    } else {
+      held = std::make_unique<Bytes>(data.begin(), data.end());
+    }
+    c->buf = std::move(held);
+  }
+  return c;
 }
 
 void TcpStack::close(ConnId id) {
@@ -236,9 +287,7 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
             cc->last_activity = now;
             emit(cc->local, cc->remote, net::TcpFlags{.ack = true},
                  cc->snd_nxt, cc->rcv_nxt);
-            if (callbacks_.on_data) {
-              callbacks_.on_data(cc->id, BytesView(packet.payload));
-            }
+            deliver(cc, packet.payload);
           }
         }
         return true;
@@ -271,6 +320,10 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
              c->rcv_nxt);
         stats_.connections_established++;
         if (journey_) journey_(c->local, "tcp.established");
+        if (c->buf) {
+          send_framed(*c, *c->buf);
+          c->buf.reset();
+        }
         if (callbacks_.on_established) callbacks_.on_established(c->id);
         return true;
       }
@@ -291,17 +344,13 @@ bool TcpStack::handle_packet(const net::Packet& packet) {
     case TcpState::Established:
     case TcpState::FinWait:
     case TcpState::CloseWait: {
-      ConnId id = c->id;
       if (!packet.payload.empty()) {
         if (h.seq == c->rcv_nxt) {
           c->rcv_nxt += static_cast<std::uint32_t>(packet.payload.size());
           emit(c->local, c->remote, net::TcpFlags{.ack = true}, c->snd_nxt,
                c->rcv_nxt);
-          if (callbacks_.on_data) {
-            callbacks_.on_data(id, BytesView(packet.payload));
-          }
           // Callbacks may have closed/aborted the connection.
-          c = find(key);
+          c = deliver(c, packet.payload);
           if (c == nullptr) return true;
         } else {
           // Out-of-order/duplicate: re-ACK what we expect.
@@ -377,32 +426,6 @@ std::optional<net::SocketAddr> TcpStack::remote_of(ConnId id) const {
   auto info = connection(id);
   if (!info) return std::nullopt;
   return info->remote;
-}
-
-std::vector<Bytes> StreamFramer::push(BytesView data) {
-  buf_.insert(buf_.end(), data.begin(), data.end());
-  std::vector<Bytes> out;
-  std::size_t pos = 0;
-  while (buf_.size() - pos >= 2) {
-    std::size_t len = static_cast<std::size_t>(buf_[pos]) << 8 | buf_[pos + 1];
-    if (buf_.size() - pos - 2 < len) break;
-    out.emplace_back(buf_.begin() + static_cast<std::ptrdiff_t>(pos + 2),
-                     buf_.begin() + static_cast<std::ptrdiff_t>(pos + 2 + len));
-    pos += 2 + len;
-  }
-  if (pos > 0) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos));
-  }
-  return out;
-}
-
-Bytes StreamFramer::frame(BytesView message) {
-  Bytes out;
-  out.reserve(message.size() + 2);
-  out.push_back(static_cast<std::uint8_t>(message.size() >> 8));
-  out.push_back(static_cast<std::uint8_t>(message.size()));
-  out.insert(out.end(), message.begin(), message.end());
-  return out;
 }
 
 }  // namespace dnsguard::tcp

@@ -2,11 +2,12 @@
 //
 // Scope (deliberate): three-way handshake with optional SYN cookies,
 // in-order reliable data transfer of small segments, FIN/RST teardown,
-// idle reaping. Links in the simulator never reorder and only drop at
-// saturated receive queues, so there is no retransmission machinery —
-// a stalled connection is reclaimed by the owner's idle/duration policy,
-// matching the DNS guard's "connection older than 5×RTT is removed" rule
-// (§III.C).
+// idle reaping, and DNS-over-TCP framing (RFC 1035 §4.2.2): owners send
+// and receive whole DNS messages, never stream bytes. Links in the
+// simulator never reorder and only drop at saturated receive queues, so
+// there is no retransmission machinery — a stalled connection is
+// reclaimed by the owner's idle/duration policy, matching the DNS guard's
+// "connection older than 5×RTT is removed" rule (§III.C).
 //
 // The stack is transport only: it owns no sockets and charges no CPU. The
 // owning simulation Node feeds packets in via handle_packet() and provides
@@ -15,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -67,7 +69,8 @@ class TcpStack {
   struct Callbacks {
     /// Connection fully established (either role).
     std::function<void(ConnId)> on_established;
-    /// In-order stream data arrived.
+    /// One whole DNS message arrived, its 2-byte length prefix stripped.
+    /// The view is valid only during the call.
     std::function<void(ConnId, BytesView)> on_data;
     /// Connection gone (normal close or abort).
     std::function<void(ConnId)> on_closed;
@@ -92,12 +95,16 @@ class TcpStack {
   /// Accepts connections to this local port.
   void listen(std::uint16_t port);
 
-  /// Initiates a client connection; returns the connection handle.
-  ConnId connect(net::SocketAddr local, net::SocketAddr remote);
+  /// Initiates a client connection; returns the connection handle. A
+  /// non-empty `first_message` is sent right after the handshake's ACK,
+  /// unless it is too long to frame (over 65,535 bytes).
+  ConnId connect(net::SocketAddr local, net::SocketAddr remote,
+                 BytesView first_message = {});
 
-  /// Queues stream data on an established connection (sent immediately as
-  /// one PSH segment; DNS messages always fit one segment here).
-  bool send_data(ConnId id, BytesView data);
+  /// Sends one DNS message on an established connection: the length
+  /// prefix and the message go out as one PSH segment. False when the
+  /// connection is not established or the message cannot be framed.
+  bool send_message(ConnId id, BytesView message);
 
   /// Graceful close (FIN).
   void close(ConnId id);
@@ -152,11 +159,16 @@ class TcpStack {
     net::SocketAddr local;
     net::SocketAddr remote;
     TcpState state = TcpState::Closed;
+    bool client_role = false;  // we initiated via connect()
     std::uint32_t snd_nxt = 0;  // next sequence number we will send
     std::uint32_t rcv_nxt = 0;  // next sequence number we expect
     SimTime opened_at;
     SimTime last_activity;
-    bool client_role = false;  // we initiated via connect()
+    /// SYN_SENT: the first message, sent once established. Afterwards:
+    /// the received bytes of a DNS message not yet complete. Allocated
+    /// only when needed, so a connection whose segments carry whole
+    /// messages costs one pointer for it.
+    std::unique_ptr<Bytes> buf;
   };
 
   // Key: (local, remote) — enough because IPs are unique per node here.
@@ -179,6 +191,11 @@ class TcpStack {
   void destroy(Connection& c, bool deliver_closed);
   void emit(net::SocketAddr from, net::SocketAddr to, net::TcpFlags flags,
             std::uint32_t seq, std::uint32_t ack, Bytes payload = {});
+  /// Emits `message` with its length prefix as one pooled PSH segment.
+  void send_framed(Connection& c, BytesView message);
+  /// Hands each complete message in the in-order bytes `data` to on_data.
+  /// Returns `c` again, or nullptr once a callback has destroyed it.
+  Connection* deliver(Connection* c, BytesView data);
   void send_rst(const net::Packet& to_packet);
   std::uint32_t next_isn();
 
@@ -199,22 +216,6 @@ class TcpStack {
   TcpStackStats stats_;
   obs::DropCounters* drops_ = nullptr;
   JourneyFn journey_;
-};
-
-/// DNS-over-TCP framing (RFC 1035 §4.2.2): each message is preceded by a
-/// 2-byte big-endian length. StreamFramer buffers stream bytes and yields
-/// complete DNS message payloads.
-class StreamFramer {
- public:
-  /// Appends stream data; returns any complete messages now available.
-  std::vector<Bytes> push(BytesView data);
-
-  [[nodiscard]] static Bytes frame(BytesView message);
-
-  [[nodiscard]] std::size_t buffered() const { return buf_.size(); }
-
- private:
-  Bytes buf_;
 };
 
 }  // namespace dnsguard::tcp

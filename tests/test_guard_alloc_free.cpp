@@ -1,4 +1,5 @@
-// The guard's UDP packet path performs no heap allocation once warm.
+// The guard's UDP packet path, and the TCP stack's receive path under its
+// proxy, perform no heap allocation once warm.
 //
 // A counting global operator new (this executable only) measures every
 // allocation made while RemoteGuardNode::process() runs — decode, cookie
@@ -17,6 +18,7 @@
 #include "common/pool.h"
 #include "guard/remote_guard.h"
 #include "sim/simulator.h"
+#include "tcp/tcp_stack.h"
 
 namespace {
 
@@ -299,6 +301,56 @@ TEST(GuardAllocFree, TcRedirectAllocatesNothing) {
   EXPECT_EQ(bed.guard->guard_stats().tc_redirects,
             std::uint64_t{kWarmupRounds + kCountedRounds});
   EXPECT_EQ(bed.lrs.received, std::uint64_t{kWarmupRounds + kCountedRounds});
+}
+
+TEST(GuardAllocFree, PipelinedTcpSegmentAllocatesNothing) {
+  // A segment framing two whole queries on an established server-side
+  // connection: both are handed out straight from the segment.
+  const net::SocketAddr client{kLrsIp, 40000};
+  const net::SocketAddr server{kAnsIp, net::kDnsPort};
+  net::TcpHeader last_sent;
+  std::uint64_t messages = 0;
+  tcp::TcpStack stack([&](net::Packet p) { last_sent = p.tcp(); },
+                      [] { return SimTime{}; },
+                      tcp::TcpStack::Callbacks{
+                          .on_established = {},
+                          .on_data = [&](tcp::ConnId,
+                                         BytesView) { ++messages; },
+                      },
+                      tcp::TcpStack::Options{});
+  stack.listen(net::kDnsPort);
+  std::uint32_t seq = 1000;
+  stack.handle_packet(net::Packet::make_tcp(
+      client, server, net::TcpFlags{.syn = true}, seq++, 0));
+  const std::uint32_t ack = last_sent.seq + 1;
+  stack.handle_packet(net::Packet::make_tcp(
+      client, server, net::TcpFlags{.ack = true}, seq, ack));
+  ASSERT_EQ(stack.connection_count(), 1u);
+
+  const Bytes q = query("www.example.com");
+  Bytes two;
+  for (int i = 0; i < 2; ++i) {
+    two.push_back(static_cast<std::uint8_t>(q.size() >> 8));
+    two.push_back(static_cast<std::uint8_t>(q.size()));
+    two.insert(two.end(), q.begin(), q.end());
+  }
+  // Built up front: making a packet copies its payload.
+  std::vector<net::Packet> segments;
+  for (int i = 0; i < kWarmupRounds + kCountedRounds; ++i) {
+    segments.push_back(net::Packet::make_tcp(
+        client, server, net::TcpFlags{.psh = true, .ack = true}, seq, ack,
+        two));
+    seq += static_cast<std::uint32_t>(two.size());
+  }
+  std::uint64_t allocations = 0;
+  for (int i = 0; i < kWarmupRounds + kCountedRounds; ++i) {
+    const std::uint64_t before = g_allocations;
+    stack.handle_packet(segments[static_cast<std::size_t>(i)]);
+    if (i >= kWarmupRounds) allocations += g_allocations - before;
+  }
+  EXPECT_EQ(messages, 2u * (kWarmupRounds + kCountedRounds));
+  EXPECT_EQ(allocations, 0u)
+      << allocations << " allocations over " << kCountedRounds << " segments";
 }
 
 /// Bytes allocated while constructing a 4-shard guard whose per-source

@@ -42,8 +42,9 @@ struct CoreBed {
   SimTime now{};
   SimDuration cost{};
 
-  explicit CoreBed(Scheme scheme)
-      : core(config(scheme),
+  explicit CoreBed(Scheme scheme) : CoreBed(config(scheme)) {}
+  explicit CoreBed(Core::Config config)
+      : core(std::move(config),
              [this](Core::Dest d, net::Packet p) {
                out.push_back({d, std::move(p)});
              },
@@ -96,6 +97,51 @@ net::Packet ans_answer(const net::Packet& forwarded) {
 dns::Message decode(const Emitted& e) {
   return *dns::Message::decode(BytesView(e.packet.payload));
 }
+
+/// A TCP client stack wired straight to the core: what the core routes
+/// comes back to the client, what it sends the ANS is collected.
+struct TcpClient {
+  CoreBed& bed;
+  std::deque<net::Packet> to_guard;
+  std::vector<net::Packet> to_ans;
+  std::vector<Bytes> received;  // whole DNS messages
+  tcp::TcpStack stack;
+
+  explicit TcpClient(CoreBed& b)
+      : bed(b),
+        stack([this](net::Packet p) { to_guard.push_back(std::move(p)); },
+              [this] { return bed.now; },
+              tcp::TcpStack::Callbacks{
+                  .on_established = {},
+                  .on_data =
+                      [this](tcp::ConnId, BytesView msg) {
+                        received.emplace_back(msg.begin(), msg.end());
+                      },
+              },
+              tcp::TcpStack::Options{}) {}
+
+  void pump() {
+    while (!to_guard.empty()) {
+      const net::Packet p = std::move(to_guard.front());
+      to_guard.pop_front();
+      for (Emitted& e : bed.step(p)) {
+        if (e.dest == Core::Dest::kAns) {
+          to_ans.push_back(std::move(e.packet));
+        } else {
+          stack.handle_packet(e.packet);
+        }
+      }
+    }
+  }
+
+  /// Connects from `port`, sending `message` once connected.
+  tcp::ConnId query(std::uint16_t port, const Bytes& message) {
+    const tcp::ConnId id = stack.connect(
+        {kClientIp, port}, {kAnsIp, net::kDnsPort}, BytesView(message));
+    pump();
+    return id;
+  }
+};
 
 TEST(GuardCore, NsNameExchange) {
   CoreBed bed(Scheme::NsName);
@@ -237,59 +283,66 @@ TEST(GuardCore, TcRedirectThenTcpProxy) {
   EXPECT_EQ(bed.core.guard_stats().tc_redirects, 1u);
 
   // The retry over TCP: a client stack wired straight to the core.
-  std::deque<net::Packet> to_guard;
-  Bytes received;
-  const Bytes framed = tcp::StreamFramer::frame(BytesView(q.encode()));
-  tcp::TcpStack client(
-      [&](net::Packet p) { to_guard.push_back(std::move(p)); },
-      [&] { return bed.now; },
-      tcp::TcpStack::Callbacks{
-          .on_established =
-              [&](tcp::ConnId id) { client.send_data(id, BytesView(framed)); },
-          .on_data =
-              [&](tcp::ConnId, BytesView data) {
-                received.insert(received.end(), data.begin(), data.end());
-              },
-      },
-      tcp::TcpStack::Options{});
-  std::vector<net::Packet> to_ans;
-  auto pump = [&] {
-    while (!to_guard.empty()) {
-      const net::Packet p = std::move(to_guard.front());
-      to_guard.pop_front();
-      for (Emitted& e : bed.step(p)) {
-        if (e.dest == Core::Dest::kAns) {
-          to_ans.push_back(std::move(e.packet));
-        } else {
-          client.handle_packet(e.packet);
-        }
-      }
-    }
-  };
-  client.connect({kClientIp, 40000}, {kAnsIp, net::kDnsPort});
-  pump();
+  TcpClient client(bed);
+  client.query(40000, q.encode());
 
-  // The framed query left for the ANS as UDP, NATed to the guard.
-  ASSERT_EQ(to_ans.size(), 1u);
-  EXPECT_TRUE(to_ans[0].is_udp());
-  EXPECT_EQ(to_ans[0].src_ip, kGuardIp);
+  // The query left for the ANS as UDP, NATed to the guard.
+  ASSERT_EQ(client.to_ans.size(), 1u);
+  EXPECT_TRUE(client.to_ans[0].is_udp());
+  EXPECT_EQ(client.to_ans[0].src_ip, kGuardIp);
   EXPECT_EQ(bed.core.proxy_connections(), 1u);
   EXPECT_EQ(bed.core.nat_entries(), 1u);
 
   // The answer returns to the client over its connection.
-  for (Emitted& e : bed.step(ans_answer(to_ans[0]))) {
+  for (Emitted& e : bed.step(ans_answer(client.to_ans[0]))) {
     ASSERT_EQ(e.dest, Core::Dest::kRouted);
-    client.handle_packet(e.packet);
+    client.stack.handle_packet(e.packet);
   }
-  pump();
-  tcp::StreamFramer framer;
-  const std::vector<Bytes> msgs = framer.push(BytesView(received));
-  ASSERT_EQ(msgs.size(), 1u);
-  const dns::Message answer = *dns::Message::decode(BytesView(msgs[0]));
+  client.pump();
+  ASSERT_EQ(client.received.size(), 1u);
+  const dns::Message answer = *dns::Message::decode(client.received[0]);
   EXPECT_EQ(answer.header.id, 11);
   EXPECT_EQ(answer.answers.size(), 1u);
   EXPECT_EQ(bed.core.guard_stats().proxy_queries, 1u);
   EXPECT_EQ(bed.core.nat_entries(), 0u);
+}
+
+TEST(GuardCore, EmptyTcpMessageIsMalformed) {
+  CoreBed bed(Scheme::TcpRedirect);
+  TcpClient client(bed);
+  // An empty first message means none, so it is sent once connected.
+  const tcp::ConnId id = client.query(40000, {});
+  EXPECT_TRUE(client.stack.send_message(id, {}));
+  client.pump();
+  EXPECT_TRUE(client.to_ans.empty());
+  EXPECT_EQ(bed.core.guard_stats().malformed, 1u);
+  EXPECT_EQ(bed.core.drop_counters().value(obs::DropReason::kMalformed), 1u);
+}
+
+/// A guard whose Rate-Limiter1 lets each requester through exactly once.
+Core::Config one_rl1_token(Scheme scheme) {
+  Core::Config c = CoreBed::config(scheme);
+  c.rl1.per_address_burst = 1;
+  c.rl1.heavy_hitter_threshold = 0;
+  return c;
+}
+
+TEST(GuardCore, NsNameLabelOverflowRedirectChargesRl1Once) {
+  // No room for the cookie beside a 60-byte label: the referral falls
+  // back to the TC redirect, which must not charge Rate-Limiter1 again.
+  CoreBed bed(one_rl1_token(Scheme::NsName));
+  const auto out = bed.step(query(12, "example." + std::string(60, 't')));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(decode(out[0]).header.tc);
+  EXPECT_EQ(bed.core.guard_stats().rl1_throttled, 0u);
+}
+
+TEST(GuardCore, FabricatedRootQueryRedirectChargesRl1Once) {
+  CoreBed bed(one_rl1_token(Scheme::FabricatedNsIp));
+  const auto out = bed.step(query(13, "."));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(decode(out[0]).header.tc);
+  EXPECT_EQ(bed.core.guard_stats().rl1_throttled, 0u);
 }
 
 }  // namespace

@@ -81,12 +81,7 @@ class Stream {
       : rng_(seed),
         tcp_([this](net::Packet p) { queued_.push_back(std::move(p)); },
              [this] { return now_; },
-             tcp::TcpStack::Callbacks{
-                 .on_established =
-                     [this](tcp::ConnId id) {
-                       tcp_.send_data(id, BytesView(tcp_queries_[id]));
-                     },
-             },
+             tcp::TcpStack::Callbacks{},
              tcp::TcpStack::Options{}) {}
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
@@ -231,12 +226,10 @@ class Stream {
         const Ipv4Address ip = client_ip(3, k);
         if (rng_.chance(0.5)) return send_query(ip, site());
         const auto port = static_cast<std::uint16_t>(40000 + next_port_++);
-        const tcp::ConnId conn =
-            tcp_.connect({ip, port}, {kAnsIp, net::kDnsPort});
-        tcp_conns_[port] = conn;
         const dns::Message m =
             dns::Message::query(id(), site(), dns::RrType::A, false);
-        tcp_queries_[conn] = tcp::StreamFramer::frame(BytesView(m.encode()));
+        tcp_conns_[port] = tcp_.connect({ip, port}, {kAnsIp, net::kDnsPort},
+                                        BytesView(m.encode()));
         return;
       }
       case 4:
@@ -287,7 +280,6 @@ class Stream {
   std::vector<net::Packet> forwarded_;
   tcp::TcpStack tcp_;
   std::map<std::uint16_t, tcp::ConnId> tcp_conns_;
-  std::map<tcp::ConnId, Bytes> tcp_queries_;
   int next_port_ = 0;
 };
 

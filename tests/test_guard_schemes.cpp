@@ -356,9 +356,10 @@ TEST(TcpScheme, NatTableCapacityRecyclesLruNotUnbounded) {
 }
 
 /// A TCP client whose connections each send a fixed number of pipelined
-/// DNS queries as soon as they are established, then wait: with a
-/// blackhole ANS every query keeps its guard NAT entry. It closes its side
-/// as soon as the guard closes a connection.
+/// DNS queries as soon as they are established (the first with the
+/// handshake's ACK), then wait: with a blackhole ANS every query keeps its
+/// guard NAT entry. It closes its side as soon as the guard closes a
+/// connection.
 class PipeliningClient : public sim::Node {
  public:
   PipeliningClient(sim::Simulator& s, Ipv4Address ip)
@@ -370,25 +371,28 @@ class PipeliningClient : public sim::Node {
         tcp::TcpStack::Callbacks{
             .on_established =
                 [this](tcp::ConnId id) {
-                  tcp_->send_data(id, BytesView(queries_[id]));
+                  for (const Bytes& q : queries_[id]) {
+                    tcp_->send_message(id, BytesView(q));
+                  }
                 },
             .on_closed = [this](tcp::ConnId) { ++closed; },
         },
         tcp::TcpStack::Options{});
   }
 
-  /// Opens a connection from `port` carrying `queries` framed queries.
+  /// Opens a connection from `port` carrying `queries` queries.
   void open(std::uint16_t port, int queries) {
     const dns::DomainName qname = *dns::DomainName::parse("www.example.com");
-    Bytes stream;
+    std::vector<Bytes> wire;
     for (int q = 0; q < queries; ++q) {
-      const dns::Message m = dns::Message::query(
-          static_cast<std::uint16_t>(port + q), qname, dns::RrType::A, false);
-      const Bytes framed = tcp::StreamFramer::frame(BytesView(m.encode()));
-      stream.insert(stream.end(), framed.begin(), framed.end());
+      wire.push_back(dns::Message::query(static_cast<std::uint16_t>(port + q),
+                                         qname, dns::RrType::A, false)
+                         .encode());
     }
-    const tcp::ConnId id = tcp_->connect({ip_, port}, {kAnsIp, net::kDnsPort});
-    queries_[id] = std::move(stream);
+    const tcp::ConnId id = tcp_->connect({ip_, port}, {kAnsIp, net::kDnsPort},
+                                         BytesView(wire.front()));
+    wire.erase(wire.begin());
+    queries_[id] = std::move(wire);
     conns_[port] = id;
   }
 
@@ -409,7 +413,7 @@ class PipeliningClient : public sim::Node {
 
  private:
   Ipv4Address ip_;
-  std::unordered_map<tcp::ConnId, Bytes> queries_;
+  std::unordered_map<tcp::ConnId, std::vector<Bytes>> queries_;
   std::unordered_map<std::uint16_t, tcp::ConnId> conns_;
   std::unique_ptr<tcp::TcpStack> tcp_;
 };

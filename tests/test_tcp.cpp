@@ -1,10 +1,12 @@
-// Mini-TCP: handshake, data transfer, teardown, SYN cookies, framing.
+// Mini-TCP: handshake, message transfer, teardown, SYN cookies, and the
+// DNS-over-TCP framing the stack does for its owners.
 //
 // Two TcpStacks are wired back-to-back through an in-memory "wire" that
 // delivers packets synchronously (loopback) or through a queue the test
 // drains manually (to model loss).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 
 #include "tcp/tcp_stack.h"
@@ -26,6 +28,7 @@ struct Harness {
   std::vector<ConnId> client_established, server_established;
   std::vector<std::pair<ConnId, Bytes>> client_data, server_data;
   std::vector<ConnId> client_closed, server_closed;
+  bool server_aborts_on_data = false;
 
   explicit Harness(bool syn_cookies = false) {
     client = std::make_unique<TcpStack>(
@@ -45,6 +48,7 @@ struct Harness {
             [this](ConnId c) { server_established.push_back(c); },
             [this](ConnId c, BytesView d) {
               server_data.emplace_back(c, Bytes(d.begin(), d.end()));
+              if (server_aborts_on_data) server->abort(c);
             },
             [this](ConnId c) { server_closed.push_back(c); }},
         TcpStack::Options{.syn_cookies = syn_cookies});
@@ -70,6 +74,41 @@ struct Harness {
 
   static SocketAddr client_addr() { return {Ipv4Address(10, 0, 0, 2), 4000}; }
   static SocketAddr server_addr() { return {Ipv4Address(10, 0, 0, 1), 53}; }
+
+  /// An established connection; returns the client's handle.
+  ConnId establish() {
+    const ConnId c = client->connect(client_addr(), server_addr());
+    pump();
+    return c;
+  }
+
+  /// The client's framed messages as one in-order byte stream, taken off
+  /// the wire unsent: `seq` receives the sequence number of its first byte.
+  Bytes client_stream(ConnId c, const std::vector<Bytes>& messages,
+                      std::uint32_t& seq) {
+    Bytes stream;
+    for (const Bytes& m : messages) {
+      EXPECT_TRUE(client->send_message(c, BytesView(m)));
+    }
+    seq = wire_to_server.front().tcp().seq;
+    for (const Packet& p : wire_to_server) {
+      stream.insert(stream.end(), p.payload.begin(), p.payload.end());
+    }
+    wire_to_server.clear();
+    return stream;
+  }
+
+  /// Delivers stream bytes [from, to) to the server as one data segment.
+  void feed(const Bytes& stream, std::uint32_t seq, std::size_t from,
+            std::size_t to) {
+    const auto b = stream.begin();
+    server->handle_packet(Packet::make_tcp(
+        client_addr(), server_addr(), net::TcpFlags{.psh = true, .ack = true},
+        seq + static_cast<std::uint32_t>(from), 0,
+        Bytes(b + static_cast<std::ptrdiff_t>(from),
+              b + static_cast<std::ptrdiff_t>(to))));
+    wire_to_client.clear();  // the server's ACKs
+  }
 };
 
 TEST(TcpHandshake, EstablishesBothSides) {
@@ -113,7 +152,7 @@ TEST(TcpDropAccounting, StraySegmentsCharged) {
   h.server->abort(h.server_established[0]);
   h.wire_to_client.clear();  // drop the RST so the client still believes
                              // the connection is up
-  EXPECT_TRUE(h.client->send_data(c, BytesView(Bytes{'h', 'i'})));
+  EXPECT_TRUE(h.client->send_message(c, BytesView(Bytes{'h', 'i'})));
   h.pump();
   EXPECT_EQ(drops.value(obs::DropReason::kStraySegment), 2u);
   EXPECT_TRUE(h.server_data.empty());
@@ -124,14 +163,14 @@ TEST(TcpData, RoundTripBothDirections) {
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
   Bytes req{'h', 'i'};
-  EXPECT_TRUE(h.client->send_data(c, BytesView(req)));
+  EXPECT_TRUE(h.client->send_message(c, BytesView(req)));
   h.pump();
   ASSERT_EQ(h.server_data.size(), 1u);
   EXPECT_EQ(h.server_data[0].second, req);
 
   ConnId sc = h.server_established[0];
   Bytes resp{'y', 'o', '!'};
-  EXPECT_TRUE(h.server->send_data(sc, BytesView(resp)));
+  EXPECT_TRUE(h.server->send_message(sc, BytesView(resp)));
   h.pump();
   ASSERT_EQ(h.client_data.size(), 1u);
   EXPECT_EQ(h.client_data[0].second, resp);
@@ -141,16 +180,19 @@ TEST(TcpData, SendOnUnestablishedFails) {
   Harness h;
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   // No pump: still SYN_SENT.
-  EXPECT_FALSE(h.client->send_data(c, BytesView(Bytes{1})));
+  EXPECT_FALSE(h.client->send_message(c, BytesView(Bytes{1})));
 }
 
 TEST(TcpData, SequenceNumbersAdvanceWithData) {
+  // An n-byte message is n + 2 bytes of stream: the length prefix counts.
   Harness h;
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
-  h.client->send_data(c, BytesView(Bytes(10, 'a')));
+  h.client->send_message(c, BytesView(Bytes(10, 'a')));
+  const std::uint32_t first = h.wire_to_server.back().tcp().seq;
   h.pump();
-  h.client->send_data(c, BytesView(Bytes(5, 'b')));
+  h.client->send_message(c, BytesView(Bytes(5, 'b')));
+  EXPECT_EQ(h.wire_to_server.back().tcp().seq, first + 12);
   h.pump();
   ASSERT_EQ(h.server_data.size(), 2u);
   EXPECT_EQ(h.server_data[0].second.size(), 10u);
@@ -161,7 +203,7 @@ TEST(TcpData, DuplicateSegmentIgnored) {
   Harness h;
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
-  h.client->send_data(c, BytesView(Bytes{1, 2, 3}));
+  h.client->send_message(c, BytesView(Bytes{1, 2, 3}));
   ASSERT_FALSE(h.wire_to_server.empty());
   Packet dup = h.wire_to_server.front();  // copy the data segment
   h.pump();
@@ -213,7 +255,7 @@ TEST(TcpReap, LifetimeLimitEnforced) {
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
   h.clock = h.clock + milliseconds(3);
-  h.client->send_data(c, BytesView(Bytes{1}));  // keep it non-idle
+  h.client->send_message(c, BytesView(Bytes{1}));  // keep it non-idle
   h.pump();
   EXPECT_EQ(h.server->reap(SimDuration{}, milliseconds(2)), 1u);
 }
@@ -239,7 +281,7 @@ TEST(SynCookies, DataFlowsAfterCookieHandshake) {
   Harness h(/*syn_cookies=*/true);
   ConnId c = h.client->connect(Harness::client_addr(), Harness::server_addr());
   h.pump();
-  h.client->send_data(c, BytesView(Bytes{'q'}));
+  h.client->send_message(c, BytesView(Bytes{'q'}));
   h.pump();
   ASSERT_EQ(h.server_data.size(), 1u);
   EXPECT_EQ(h.server_data[0].second, (Bytes{'q'}));
@@ -290,43 +332,97 @@ TEST(SynCookieGenerator, ValidatesOwnCookies) {
   EXPECT_FALSE(gen.validate(other, s, 555, isn, t));    // wrong client
 }
 
-TEST(StreamFramer, FrameAndReassemble) {
-  Bytes msg{'a', 'b', 'c', 'd'};
-  Bytes framed = StreamFramer::frame(BytesView(msg));
-  ASSERT_EQ(framed.size(), 6u);
-  EXPECT_EQ(framed[0], 0);
-  EXPECT_EQ(framed[1], 4);
-  StreamFramer f;
-  auto out = f.push(BytesView(framed));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], msg);
+TEST(TcpFraming, FirstMessageLeavesWithTheHandshakeAck) {
+  Harness h;
+  const Bytes msg{'a', 'b', 'c', 'd'};
+  h.client->connect(Harness::client_addr(), Harness::server_addr(),
+                    BytesView(msg));
+  h.server->handle_packet(h.wire_to_server.front());  // the SYN
+  h.wire_to_server.clear();
+  h.client->handle_packet(h.wire_to_client.front());  // the SYN-ACK
+  ASSERT_EQ(h.wire_to_server.size(), 2u);
+  EXPECT_TRUE(h.wire_to_server[0].payload.empty());  // the ACK
+  EXPECT_EQ(h.wire_to_server[1].payload, (Bytes{0, 4, 'a', 'b', 'c', 'd'}));
+  h.pump();
+  ASSERT_EQ(h.server_data.size(), 1u);
+  EXPECT_EQ(h.server_data[0].second, msg);
 }
 
-TEST(StreamFramer, HandlesSplitDelivery) {
+TEST(TcpFraming, SplitAtEveryOffsetArrivesOnceIntact) {
   Bytes msg(300, 'x');
-  Bytes framed = StreamFramer::frame(BytesView(msg));
-  StreamFramer f;
-  // Deliver one byte at a time.
-  std::vector<Bytes> all;
-  for (std::uint8_t b : framed) {
-    Bytes one{b};
-    for (auto& m : f.push(BytesView(one))) all.push_back(std::move(m));
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<std::uint8_t>(i);
   }
-  ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0], msg);
-  EXPECT_EQ(f.buffered(), 0u);
+  // Splits at 1 and 2 fall inside the length prefix.
+  for (std::size_t split = 1; split < msg.size() + 2; ++split) {
+    Harness h;
+    const ConnId c = h.establish();
+    std::uint32_t seq = 0;
+    const Bytes stream = h.client_stream(c, {msg}, seq);
+    h.feed(stream, seq, 0, split);
+    EXPECT_TRUE(h.server_data.empty()) << "split " << split;
+    h.feed(stream, seq, split, stream.size());
+    ASSERT_EQ(h.server_data.size(), 1u) << "split " << split;
+    EXPECT_EQ(h.server_data[0].second, msg) << "split " << split;
+  }
 }
 
-TEST(StreamFramer, HandlesBackToBackMessages) {
-  Bytes a{'1'}, b{'2', '2'};
-  Bytes stream = StreamFramer::frame(BytesView(a));
-  Bytes fb = StreamFramer::frame(BytesView(b));
-  stream.insert(stream.end(), fb.begin(), fb.end());
-  StreamFramer f;
-  auto out = f.push(BytesView(stream));
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], a);
-  EXPECT_EQ(out[1], b);
+TEST(TcpFraming, BackToBackMessagesInOneSegmentArriveInOrder) {
+  Harness h;
+  const ConnId c = h.establish();
+  const std::vector<Bytes> msgs{{'1'}, {'2', '2'}, {'3', '3', '3'}};
+  std::uint32_t seq = 0;
+  const Bytes stream = h.client_stream(c, msgs, seq);
+  h.feed(stream, seq, 0, stream.size());
+  ASSERT_EQ(h.server_data.size(), 3u);
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(h.server_data[i].second, msgs[i]);
+  }
+}
+
+TEST(TcpFraming, ZeroLengthFrameArrivesAsAnEmptyMessage) {
+  Harness h;
+  const ConnId c = h.establish();
+  EXPECT_TRUE(h.client->send_message(c, BytesView()));
+  h.pump();
+  ASSERT_EQ(h.server_data.size(), 1u);
+  EXPECT_TRUE(h.server_data[0].second.empty());
+}
+
+TEST(TcpFraming, LargestMessageIsReassembled) {
+  Harness h;
+  const ConnId c = h.establish();
+  Bytes msg(65535);
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  EXPECT_FALSE(h.client->send_message(c, BytesView(Bytes(65536))));
+  std::uint32_t seq = 0;
+  const Bytes stream = h.client_stream(c, {msg}, seq);
+  for (std::size_t at = 0; at < stream.size(); at += 1460) {
+    h.feed(stream, seq, at, std::min(stream.size(), at + 1460));
+  }
+  ASSERT_EQ(h.server_data.size(), 1u);
+  EXPECT_EQ(h.server_data[0].second, msg);
+}
+
+TEST(TcpFraming, AbortFromOnDataStopsPipelinedDelivery) {
+  // Split 0 delivers straight from the segment; split 1 first parks a
+  // byte, so the messages come from the connection's reassembly buffer.
+  for (std::size_t split : {0, 1}) {
+    Harness h;
+    const ConnId c = h.establish();
+    h.server_aborts_on_data = true;
+    std::uint32_t seq = 0;
+    const Bytes stream =
+        h.client_stream(c, {{'a'}, {'b', 'b'}, {'c', 'c', 'c'}}, seq);
+    if (split > 0) h.feed(stream, seq, 0, split);
+    h.feed(stream, seq, split, stream.size());
+    ASSERT_EQ(h.server_data.size(), 1u) << "split " << split;
+    EXPECT_EQ(h.server_data[0].second, (Bytes{'a'}));
+    EXPECT_EQ(h.server->connection_count(), 0u);
+    EXPECT_EQ(h.server_closed.size(), 1u);
+  }
 }
 
 }  // namespace

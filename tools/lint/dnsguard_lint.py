@@ -780,7 +780,7 @@ def check_shard_isolation(sources):
          *Limiter classes) declared outside the Shard struct are findings
          — shared mutable state the sharded packet path could touch. The
          shardsafe annotation marks deliberately global members (the TCP
-         framer table, a cookie key schedule).
+         proxy's per-connection NAT-port records, a cookie key schedule).
       2. packet-path dataflow: BFS over the unit's call graph from the
          packet-path roots (process / step / serve_lane); any function
          reached may not index `shards_` with a hard-coded constant —
